@@ -10,12 +10,12 @@
 //! Set `NEU10_PRINT_GOLDEN=1` to print the digests the current build
 //! produces (used once, to lock the constants below).
 
-use autopilot::{Autopilot, AutoscalePolicy, ScalingSpec, TargetTracking};
+use autopilot::{Autopilot, AutoscalePolicy, Defragmenter, ScalingSpec, TargetTracking};
 use cluster::{
     estimated_batch_service_cycles, estimated_service_cycles, AdmissionControl, ClusterServingSim,
-    DeploySpec, DispatchPolicy, FaultKind, FaultSchedule, MigrationMode, NodeId, NpuCluster,
-    PlacementPolicy, RecoveryPolicy, ServingOptions, ServingReport, SloConfig, SloSpec,
-    StochasticService, TimeSeriesConfig, TimeSeriesRecorder,
+    DeploySpec, DispatchPolicy, FaultKind, FaultSchedule, MigrationCostModel, MigrationMode,
+    NodeId, NpuCluster, PlacementPolicy, RecoveryPolicy, ServingOptions, ServingReport, SloConfig,
+    SloSpec, StochasticService, TimeSeriesConfig, TimeSeriesRecorder,
 };
 use npu_sim::{Cycles, NpuConfig};
 use workloads::{ClusterTrace, DiurnalTrace, ModelId, PriorityClass, QosSpec};
@@ -422,6 +422,72 @@ fn run_fleet_parallel(threads: usize) -> ServingReport {
     )
 }
 
+/// The sharded closed-loop scenario: the autopilot diurnal day over two
+/// board-group partitions. The control plane runs fleet-wide at barrier
+/// ticks over the merged frame; its scale-ups are placed against fleet-wide
+/// capacity and adopted by the owning partition, its scale-downs are routed
+/// to the owner, and a replica ceiling above the fleet's capacity makes the
+/// peak refuse scale-ups. Odd thread counts run unobserved, even ones
+/// through the observed entry point with a trace recorder per partition, so
+/// the digest also locks that observation never perturbs a sharded run. A
+/// defragmenter adds barrier-routed consolidation migrations.
+fn run_fleet_parallel_control(threads: usize) -> ServingReport {
+    let npu = config();
+    let service = estimated_service_cycles(ModelId::Mnist, 2, 2, &npu);
+    let effective = estimated_batch_service_cycles(ModelId::Mnist, 4, 2, 2, &npu) as f64 / 4.0;
+    let horizon = service * 400;
+    let interval = horizon / 80;
+    let spec = DeploySpec::replica(ModelId::Mnist, 2, 2).with_memory(32 << 20, 1 << 30);
+    let mut fleet = NpuCluster::homogeneous(BOARDS, &npu);
+    for _ in 0..2 {
+        fleet
+            .deploy(spec, PlacementPolicy::WorstFit)
+            .expect("capacity for the starting fleet");
+    }
+    let peak_mean = (effective / (10.0 * 0.7)).max(1.0) as u64;
+    let trace = DiurnalTrace::new(vec![(ModelId::Mnist, peak_mean)], horizon)
+        .with_trough_to_peak(0.1)
+        .generate(SEED)
+        .with_model_qos(
+            ModelId::Mnist,
+            QosSpec::new(Some(Cycles(service * 10)), PriorityClass::Interactive),
+        );
+    let mut pilot = Autopilot::new()
+        .with_model(ScalingSpec::new(
+            spec,
+            2,
+            12,
+            AutoscalePolicy::TargetTracking(
+                TargetTracking::new(4.0, interval * 2).with_max_miss_rate(0.025),
+            ),
+        ))
+        .with_defrag(Defragmenter::new(
+            DeploySpec::replica(ModelId::Mnist, 4, 4).with_memory(32 << 20, 1 << 30),
+            interval * 4,
+        ));
+    // A fast link keeps each consolidation move's dark window short of the
+    // day, so the moves land mid-run instead of stretching its tail.
+    let options =
+        ServingOptions::new(DispatchPolicy::LeastLoaded)
+            .with_batching(4)
+            .with_telemetry(interval)
+            .with_cost_model(MigrationCostModel::default().with_interconnect(
+                npu_sim::InterconnectConfig::tpu_v4_ici().with_bandwidth(1.0e12),
+            ));
+    let sim = ClusterServingSim::new(options);
+    let shard = cluster::ShardOptions::new(2).with_threads(threads);
+    if threads % 2 == 0 {
+        let mut sinks: Vec<cluster::TraceRecorder> = Vec::new();
+        let report = sim.run_sharded_observed_with_controller(
+            &mut fleet, &trace, shard, &mut pilot, &mut sinks,
+        );
+        assert_eq!(sinks.len(), 2, "one sink per partition");
+        report
+    } else {
+        sim.run_sharded_with_controller(&mut fleet, &trace, shard, &mut pilot)
+    }
+}
+
 /// Digests locked on the pre-optimization event loop. The refactored path
 /// must reproduce every one bit-for-bit.
 const GOLDEN: &[(&str, u64)] = &[
@@ -450,6 +516,10 @@ const GOLDEN: &[(&str, u64)] = &[
     // failover, and barrier telemetry ticks. The digest is the contract
     // that the thread count never changes the merged report.
     ("fleet-parallel", 0xe79b6ff88fbc7747),
+    // Locked before the serving loop was split into modules: the autopilot
+    // over two partitions, so barrier scale-up adoption, refused scale-ups,
+    // routed scale-downs and the merged control frame reach a digest.
+    ("fleet-parallel-control", 0xaa0cfd001d332704),
 ];
 
 fn expected(name: &str) -> u64 {
@@ -709,6 +779,31 @@ fn fleet_parallel_scenario_matches_golden_at_every_thread_count() {
             "threads {threads}: the thread count must never change the merged report"
         );
     }
+}
+
+#[test]
+fn fleet_parallel_control_scenario_matches_golden_at_every_thread_count() {
+    let single = run_fleet_parallel_control(1);
+    // Sanity: the barrier control plane genuinely scales both ways and runs
+    // out of fleet capacity at the peak.
+    assert!(single.stats.completed > 0);
+    assert!(single.control.samples > 0);
+    assert!(single.control.scale_ups > 0, "the ramp must scale up");
+    assert!(single.control.scale_downs > 0, "the trough must scale down");
+    assert!(
+        single.control.scale_up_rejected > 0,
+        "the peak must hit the fleet's capacity"
+    );
+    assert!(
+        !single.migrations.is_empty(),
+        "the defragmenter must consolidate at a barrier"
+    );
+    check("fleet-parallel-control", &single);
+    let parallel = run_fleet_parallel_control(2);
+    assert_eq!(
+        single, parallel,
+        "the thread count (and observation) must never change the merged report"
+    );
 }
 
 #[test]
