@@ -111,6 +111,23 @@ pub struct DeployedVnpu {
     pub mode: MappingMode,
 }
 
+impl DeployedVnpu {
+    /// The spec that re-deploys this replica elsewhere with the same model,
+    /// engines, memory sizing, priority and isolation mode (migration,
+    /// failover restore and cross-partition export all move it this way).
+    pub(crate) fn spec(&self) -> DeploySpec {
+        DeploySpec {
+            model: self.model,
+            mes: self.config.num_mes_per_core,
+            ves: self.config.num_ves_per_core,
+            sram_bytes: Some(self.config.sram_size_per_core),
+            hbm_bytes: Some(self.config.mem_size_per_core),
+            priority: self.priority,
+            mode: self.mode,
+        }
+    }
+}
+
 /// Fleet-layer errors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClusterError {
@@ -543,16 +560,7 @@ impl NpuCluster {
         // source deployment is untouched and the handle stays valid.
         let dest_config = {
             let dest = self.node(to).expect("destination checked above"); // simlint::allow(P1, reason = "destination node membership checked at entry")
-            DeploySpec {
-                model: deployment.model,
-                mes: deployment.config.num_mes_per_core,
-                ves: deployment.config.num_ves_per_core,
-                sram_bytes: Some(deployment.config.sram_size_per_core),
-                hbm_bytes: Some(deployment.config.mem_size_per_core),
-                priority: deployment.priority,
-                mode: deployment.mode,
-            }
-            .vnpu_config(dest.npu_config())
+            deployment.spec().vnpu_config(dest.npu_config())
         };
         let dest_result = {
             let dest = self.node_mut(to).expect("destination checked above"); // simlint::allow(P1, reason = "destination node membership checked at entry")

@@ -552,6 +552,18 @@ impl ChaosState {
         }
     }
 
+    /// Link cycles of a `cycles`-long transfer on the `(a, b)` link at
+    /// `now`: inflated by the open link-degradation window, if any, and
+    /// never shortened by it.
+    pub(crate) fn link_cycles(&self, a: NodeId, b: NodeId, now: u64, cycles: u64) -> u64 {
+        let factor = self.link_factor(a, b, now);
+        if factor > 1.0 {
+            ((cycles as f64 * factor) as u64).max(cycles)
+        } else {
+            cycles
+        }
+    }
+
     /// Service-time inflation for batches started on `node` at `now`.
     pub(crate) fn service_factor(&self, node: NodeId, now: u64) -> f64 {
         match self.straggle.get(&node) {

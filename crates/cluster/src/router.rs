@@ -252,6 +252,24 @@ impl RouterStats {
     pub fn rejected(&self) -> usize {
         self.rejected_no_replica + self.rejected_overload
     }
+
+    /// Adds `other`'s counters into these (the sharded runner folds the
+    /// partitions' routers this way). Exhaustive on purpose: a new counter
+    /// fails to compile here until it is merged.
+    pub(crate) fn merge(&mut self, other: &RouterStats) {
+        let RouterStats {
+            offered,
+            admitted,
+            rejected_no_replica,
+            rejected_overload,
+            completed,
+        } = *other;
+        self.offered += offered;
+        self.admitted += admitted;
+        self.rejected_no_replica += rejected_no_replica;
+        self.rejected_overload += rejected_overload;
+        self.completed += completed;
+    }
 }
 
 /// A snapshot of one candidate replica at dispatch time.

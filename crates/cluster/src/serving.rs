@@ -526,6 +526,13 @@ impl ReplicaQueue {
         }
     }
 
+    /// Empties the queue into a new vector, in drain order.
+    fn take_all(&mut self) -> Vec<QueuedRequest> {
+        let mut all = Vec::with_capacity(self.len());
+        self.drain_into(self.len(), &mut all);
+        all
+    }
+
     /// Moves the next `size` requests — FIFO or EDF order — into `batch`.
     fn drain_into(&mut self, size: usize, batch: &mut Vec<QueuedRequest>) {
         match self {
@@ -629,6 +636,37 @@ impl ReplicaSim {
     fn enqueue(&mut self, request: QueuedRequest) {
         self.queue.push(request);
     }
+
+    /// Fences the replica: its board is (or is presumed) dead, so nothing
+    /// it had in motion — a drain-then-move, a pre-copy, a held batch —
+    /// will ever finish.
+    fn fence(&mut self) {
+        self.fenced = true;
+        self.pending_migration = None;
+        self.precopy = None;
+        self.batch_timeout_at = None;
+    }
+
+    /// The router's snapshot of this replica, sitting at `slot`, at `now`.
+    /// With `avoid_migrating`, a live pre-copy in flight reads as
+    /// unavailable, so the router steers around its imminent stop-and-copy
+    /// while any clean replica exists.
+    fn view(
+        &self,
+        slot: usize,
+        now: u64,
+        avoid_migrating: bool,
+        node_replicas: usize,
+    ) -> ReplicaView {
+        ReplicaView {
+            index: slot,
+            node: self.handle.node,
+            queue_len: self.queue.len(),
+            in_flight: self.in_flight(),
+            unavailable: self.unavailable(now) || (avoid_migrating && self.precopy.is_some()),
+            node_replicas,
+        }
+    }
 }
 
 /// Per-model accumulators for the current telemetry window.
@@ -639,20 +677,19 @@ struct ModelWindow {
     rejected: usize,
 }
 
-/// Mutable bookkeeping shared by the batch-formation path.
+/// The run's accounting: deadline, telemetry-window, SLO and chaos ledgers,
+/// plus the batch RNG and buffer pool. Kept apart from the replica table so
+/// an edge can charge it while it holds a replica borrowed.
 #[derive(Debug)]
 struct ServeState {
-    max_batch: usize,
-    max_batch_wait: Option<u64>,
-    drop_expired: bool,
     rng: Option<StdRng>,
     deadline: DeadlineStats,
     batches: usize,
-    /// Whether the telemetry bus is on (per-model windows accumulate).
-    sampling: bool,
     /// Start of the current telemetry window.
     window_start: u64,
-    windows: BTreeMap<ModelId, ModelWindow>,
+    /// Per-model accumulators of the current telemetry window; `None`
+    /// unless [`ServingOptions::with_telemetry`] turned the bus on.
+    windows: Option<BTreeMap<ModelId, ModelWindow>>,
     control: ControlStats,
     /// Replica-time already banked by released replicas.
     replica_cycles: u64,
@@ -676,11 +713,49 @@ struct ServeState {
 
 impl ServeState {
     fn window_of(&mut self, model: ModelId) -> Option<&mut ModelWindow> {
-        if self.sampling {
-            Some(self.windows.entry(model).or_default())
-        } else {
-            None
+        self.windows
+            .as_mut()
+            .map(|windows| windows.entry(model).or_default())
+    }
+
+    /// Drops `request`, queued at `slot` on `node`, because its deadline
+    /// passed: the deadline ledger, the telemetry window, the SLO engine
+    /// (an expiry is an unmet request that burns every covering error
+    /// budget) and the sink all see it.
+    fn expire<S: ObsSink + ?Sized>(
+        &mut self,
+        now: u64,
+        request: &QueuedRequest,
+        node: NodeId,
+        slot: usize,
+        sink: &mut S,
+    ) {
+        self.deadline.record_dropped();
+        if let Some(window) = self.window_of(request.model) {
+            window.metrics.record_dropped();
         }
+        if let Some(engine) = &mut self.slo {
+            engine.observe_expired(now, request.model, request.priority);
+        }
+        sink.on_expire(
+            now,
+            request.sequence,
+            request.model,
+            request.arrived,
+            node,
+            slot,
+        );
+    }
+
+    /// Link cycles of a `cycles`-long transfer on the `(a, b)` link at
+    /// `now`, inflated by any open chaos link-degradation window. Pre-copy
+    /// rounds, stop-and-copy windows and cross-partition exports all price
+    /// through here, so a degraded (or partitioned) link stresses migration
+    /// as much as recovery.
+    fn link_cycles(&self, a: NodeId, b: NodeId, now: u64, cycles: u64) -> u64 {
+        self.chaos
+            .as_ref()
+            .map_or(cycles, |chaos| chaos.link_cycles(a, b, now, cycles))
     }
 }
 
@@ -774,25 +849,6 @@ impl LinkSchedule {
     }
 }
 
-/// Inflates a transfer's cycle count by any open chaos link-degradation
-/// window on the `(a, b)` link before the transfer is put on the link.
-/// Pre-copy rounds, stop-and-copy windows and failover state restores all
-/// price through here, so a degraded (or partitioned) link stresses both
-/// migration and recovery.
-fn chaos_transfer(state: &ServeState, a: NodeId, b: NodeId, now: u64, cycles: u64) -> u64 {
-    match &state.chaos {
-        Some(chaos) => {
-            let factor = chaos.link_factor(a, b, now);
-            if factor > 1.0 {
-                ((cycles as f64 * factor) as u64).max(cycles)
-            } else {
-                cycles
-            }
-        }
-        None => cycles,
-    }
-}
-
 /// The fluid service-time estimate of one `batch_requests`-request batch on a
 /// `mes`×`ves` replica: the model is compiled at
 /// `batch_requests × evaluation_batch_size` and each operator runs at the
@@ -880,37 +936,25 @@ type CalibrationKey = (ModelId, usize, usize, NpuConfigKey);
 /// digest-affecting crate that iteration must be deterministic from day
 /// one. The key compares cheap fixed-size integers, so ordered lookups stay
 /// free of deep `NpuConfig` scans.
+#[derive(Default)]
 struct CalibrationCache {
-    max_batch: usize,
-    stochastic: Option<StochasticService>,
-    /// Whether replicas order their queues earliest-deadline-first (fixes
-    /// the [`ReplicaQueue`] variant of every replica built, including
-    /// control-plane scale-ups).
-    edf: bool,
     entries: BTreeMap<CalibrationKey, CalibrationEntry>,
 }
 
 impl CalibrationCache {
-    fn new(max_batch: usize, stochastic: Option<StochasticService>, edf: bool) -> Self {
-        CalibrationCache {
-            max_batch,
-            stochastic,
-            edf,
-            entries: BTreeMap::new(),
-        }
-    }
-
-    /// The calibrated batch service times and dispersion of one replica shape.
+    /// The calibrated batch service times (up to the run's `max_batch`) and
+    /// dispersion of one replica shape.
     fn calibrate(
         &mut self,
+        options: &ServingOptions,
         model: ModelId,
         mes: usize,
         ves: usize,
         npu: &NpuConfig,
     ) -> (Arc<[u64]>, f64) {
         let key = (model, mes, ves, npu.cache_key());
-        let max_batch = self.max_batch;
-        let stochastic = self.stochastic;
+        let max_batch = options.max_batch.max(1);
+        let stochastic = options.stochastic;
         let entry = self.entries.entry(key).or_insert_with(|| {
             let batch_cycles: Arc<[u64]> = (1..=max_batch)
                 .map(|k| estimated_batch_service_cycles(model, k, mes, ves, npu))
@@ -942,9 +986,12 @@ impl CalibrationCache {
         (Arc::clone(&entry.batch_cycles), entry.cv)
     }
 
-    /// Builds the simulator-side state of one deployed replica.
+    /// Builds the simulator-side state of one deployed replica; its queue is
+    /// earliest-deadline-first exactly when the dispatch policy orders
+    /// queues by deadline.
     fn replica_sim(
         &mut self,
+        options: &ServingOptions,
         cluster: &NpuCluster,
         deployment: &DeployedVnpu,
         now: u64,
@@ -953,6 +1000,7 @@ impl CalibrationCache {
             .node(deployment.handle.node)
             .expect("deployment node exists"); // simlint::allow(P1, reason = "replica construction follows a successful deploy on that node")
         let (batch_cycles, cv) = self.calibrate(
+            options,
             deployment.model,
             deployment.config.num_mes_per_core,
             deployment.config.num_ves_per_core,
@@ -963,7 +1011,7 @@ impl CalibrationCache {
             model: deployment.model,
             batch_cycles,
             cv,
-            queue: ReplicaQueue::new(self.edf),
+            queue: ReplicaQueue::new(options.dispatch.orders_queues_by_deadline()),
             in_service: None,
             available_at: now,
             pending_migration: None,
@@ -1152,11 +1200,7 @@ impl PartitionOutcome {
     /// partition-index order, so sketch contents, per-model folds and record
     /// concatenation are deterministic for a fixed partitioning.
     pub(crate) fn merge(&mut self, other: PartitionOutcome) {
-        self.router_stats.offered += other.router_stats.offered;
-        self.router_stats.admitted += other.router_stats.admitted;
-        self.router_stats.rejected_no_replica += other.router_stats.rejected_no_replica;
-        self.router_stats.rejected_overload += other.router_stats.rejected_overload;
-        self.router_stats.completed += other.router_stats.completed;
+        self.router_stats.merge(&other.router_stats);
         self.latencies.merge(&other.latencies);
         for (model, sketch) in other.per_model {
             self.per_model.entry(model).or_default().merge(&sketch);
@@ -1164,19 +1208,10 @@ impl PartitionOutcome {
         for (node, count) in other.per_node_completed {
             *self.per_node_completed.entry(node).or_default() += count;
         }
-        self.deadline.with_deadline += other.deadline.with_deadline;
-        self.deadline.met += other.deadline.met;
-        self.deadline.missed += other.deadline.missed;
-        self.deadline.dropped += other.deadline.dropped;
+        self.deadline.merge(&other.deadline);
         self.batches += other.batches;
         self.migration_records.extend(other.migration_records);
-        self.control.samples += other.control.samples;
-        self.control.scale_ups += other.control.scale_ups;
-        self.control.scale_up_rejected += other.control.scale_up_rejected;
-        self.control.scale_downs += other.control.scale_downs;
-        self.control.released += other.control.released;
-        self.control.migrations_requested += other.control.migrations_requested;
-        self.control.migrations_rejected += other.control.migrations_rejected;
+        self.control.merge(&other.control);
         self.replica_cycles += other.replica_cycles;
         self.makespan = self.makespan.max(other.makespan);
         self.perf.events += other.perf.events;
@@ -1272,9 +1307,10 @@ impl ShardContext {
 /// drives one partition per board-group in bounded-window rounds, merging
 /// cross-partition traffic at each barrier. All mutable simulation state
 /// lives here so a partition can be stepped to a bound, reconciled, and
-/// resumed without losing determinism.
+/// resumed without losing determinism. Every edge of the loop is a method
+/// that reads the run's [`ServingOptions`] in place.
 pub(crate) struct PartitionSim<'a> {
-    pub(crate) options: ServingOptions,
+    options: ServingOptions,
     cache: CalibrationCache,
     replicas: Vec<ReplicaSim>,
     dispatch_index: ReplicaIndex,
@@ -1282,11 +1318,14 @@ pub(crate) struct PartitionSim<'a> {
     state: ServeState,
     events: EventQueue,
     links: LinkSchedule,
+    /// Whether fenced (undetected-dead) replicas count as pending work: only
+    /// while recovery will eventually drain them. Without recovery they
+    /// would sustain the telemetry bus forever and the run could never end.
     recovery_armed: bool,
-    avoid_migrating: bool,
-    sample_interval: Option<u64>,
-    alert_interval: Option<u64>,
+    /// Alert-edge scratch, reused across alert ticks.
     alert_scratch: Vec<AlertTransition>,
+    /// Telemetry scratch, reused across ticks: the frame's vectors and model
+    /// map persist, so steady-state sampling allocates nothing.
     frame: TelemetryFrame,
     stale_models: Vec<ModelId>,
     arrivals: &'a [RequestArrival],
@@ -1297,6 +1336,8 @@ pub(crate) struct PartitionSim<'a> {
     per_model: BTreeMap<ModelId, QuantileSketch>,
     per_node_completed: BTreeMap<NodeId, usize>,
     migration_records: Vec<MigrationRecord>,
+    /// Candidate-view scratch, refilled per dispatch; after warm-up the
+    /// dispatch path performs no allocation at all.
     views: Vec<ReplicaView>,
     /// `Some` only under the sharded runner; `None` keeps every shard-aware
     /// branch dead on the sequential path.
@@ -1308,7 +1349,7 @@ impl<'a> PartitionSim<'a> {
     /// scheduled migration, fault, telemetry and alert events.
     pub(crate) fn new(
         options: ServingOptions,
-        cluster: &mut NpuCluster,
+        cluster: &NpuCluster,
         arrivals: &'a [RequestArrival],
     ) -> Self {
         Self::build(options, cluster, arrivals, None)
@@ -1319,7 +1360,7 @@ impl<'a> PartitionSim<'a> {
     /// barrier so the control plane sees the whole fleet, not one shard.
     pub(crate) fn new_sharded(
         options: ServingOptions,
-        cluster: &mut NpuCluster,
+        cluster: &NpuCluster,
         arrivals: &'a [RequestArrival],
         shard: ShardContext,
     ) -> Self {
@@ -1328,53 +1369,10 @@ impl<'a> PartitionSim<'a> {
 
     fn build(
         options: ServingOptions,
-        cluster: &mut NpuCluster,
+        cluster: &NpuCluster,
         arrivals: &'a [RequestArrival],
         shard: Option<ShardContext>,
     ) -> Self {
-        let max_batch = options.max_batch.max(1);
-        let edf = options.dispatch.orders_queues_by_deadline();
-        let mut cache = CalibrationCache::new(max_batch, options.stochastic, edf);
-        let initial: Vec<DeployedVnpu> = cluster.deployments().copied().collect();
-        let replicas: Vec<ReplicaSim> = initial
-            .iter()
-            .map(|d| cache.replica_sim(cluster, d, 0))
-            .collect();
-
-        // The dispatch index mirrors the replica table incrementally: slots
-        // enter on deploy, leave the routable sets on drain, re-key on
-        // migration and die on retire. Every arrival then reads exactly the
-        // candidates of its model instead of scanning (and re-counting) the
-        // whole table.
-        let mut dispatch_index = ReplicaIndex::new();
-        for (slot, replica) in replicas.iter().enumerate() {
-            dispatch_index.insert(slot, replica.model, replica.handle.node, replica.handle);
-        }
-
-        let router = Router::new(options.dispatch, options.admission);
-        let sample_interval = options.telemetry_interval;
-        let state = ServeState {
-            max_batch,
-            max_batch_wait: options.max_batch_wait,
-            drop_expired: options.drop_expired,
-            rng: options.stochastic.map(|s| StdRng::seed_from_u64(s.seed)),
-            deadline: DeadlineStats::default(),
-            batches: 0,
-            sampling: sample_interval.is_some(),
-            window_start: 0,
-            windows: BTreeMap::new(),
-            control: ControlStats::default(),
-            replica_cycles: 0,
-            batch_pool: Vec::new(),
-            live_replicas: replicas.len(),
-            peak_replicas: replicas.len(),
-            slo: options.slo.as_ref().map(SloEngine::new),
-            alerts: AlertLog::default(),
-            chaos: options
-                .faults
-                .as_ref()
-                .map(|schedule| ChaosState::new(schedule, options.recovery)),
-        };
         let mut events = EventQueue::default();
         for (index, migration) in options.migrations.iter().enumerate() {
             events.push(migration.at.get(), EV_MIGRATION, index);
@@ -1384,48 +1382,51 @@ impl<'a> PartitionSim<'a> {
                 events.push(fault.at, EV_FAULT, index);
             }
         }
-        // Fenced (undetected-dead) replicas count as pending work only while
-        // recovery will eventually drain them; without recovery they would
-        // sustain the telemetry bus forever and the run could never end.
-        let recovery_armed = options.faults.is_some() && options.recovery.is_some();
-        let avoid_migrating = options.migration_aware_dispatch;
+        let slo = options.slo.as_ref().map(SloEngine::new);
         // Sharded partitions never self-sample: the coordinator ticks
         // telemetry at the barrier over the merged fleet instead.
         if shard.is_none() {
-            if let Some(interval) = sample_interval {
+            if let Some(interval) = options.telemetry_interval {
                 events.push(interval, EV_SAMPLE, 0);
             }
-        }
-        let alert_interval = state.slo.as_ref().map(|engine| engine.tick());
-        if shard.is_none() {
-            if let Some(tick) = alert_interval {
-                events.push(tick, EV_ALERT, 0);
+            if let Some(engine) = &slo {
+                events.push(engine.tick(), EV_ALERT, 0);
             }
         }
-        // Latency accumulators are streaming quantile sketches, not retained
-        // per-sample vectors: exact (and summary-bit-identical to the seed's
-        // sort-then-summarize) below the sketch cap, α-bounded and O(1)
-        // memory beyond it — a 10M-arrival run no longer holds 80MB of
-        // samples to answer four percentiles.
-        let latencies = QuantileSketch::with_capacity_hint(arrivals.len());
-
-        PartitionSim {
+        let state = ServeState {
+            rng: options.stochastic.map(|s| StdRng::seed_from_u64(s.seed)),
+            deadline: DeadlineStats::default(),
+            batches: 0,
+            window_start: 0,
+            windows: options.telemetry_interval.map(|_| BTreeMap::new()),
+            control: ControlStats::default(),
+            replica_cycles: 0,
+            batch_pool: Vec::new(),
+            live_replicas: 0,
+            peak_replicas: 0,
+            slo,
+            alerts: AlertLog::default(),
+            chaos: options
+                .faults
+                .as_ref()
+                .map(|schedule| ChaosState::new(schedule, options.recovery)),
+        };
+        let mut partition = PartitionSim {
+            recovery_armed: options.faults.is_some() && options.recovery.is_some(),
+            router: Router::new(options.dispatch, options.admission),
             options,
-            cache,
-            replicas,
-            dispatch_index,
-            router,
+            cache: CalibrationCache::default(),
+            replicas: Vec::new(),
+            // The dispatch index mirrors the replica table incrementally:
+            // slots enter on deploy, leave the routable sets on drain, re-key
+            // on migration and die on release. Every arrival then reads
+            // exactly the candidates of its model instead of scanning (and
+            // re-counting) the whole table.
+            dispatch_index: ReplicaIndex::new(),
             state,
             events,
             links: LinkSchedule::default(),
-            recovery_armed,
-            avoid_migrating,
-            sample_interval,
-            alert_interval,
-            // Alert-edge scratch, reused across alert ticks.
             alert_scratch: Vec::new(),
-            // Telemetry scratch, reused across ticks: the frame's vectors and
-            // model map persist, so steady-state sampling allocates nothing.
             frame: TelemetryFrame {
                 at: Cycles::ZERO,
                 window: Cycles::ZERO,
@@ -1437,15 +1438,23 @@ impl<'a> PartitionSim<'a> {
             next_arrival: 0,
             makespan: 0,
             perf: PerfStats::default(),
-            latencies,
+            // Latency accumulators are streaming quantile sketches, not
+            // retained per-sample vectors: exact (and summary-bit-identical
+            // to the seed's sort-then-summarize) below the sketch cap,
+            // α-bounded and O(1) memory beyond it — a 10M-arrival run no
+            // longer holds 80MB of samples to answer four percentiles.
+            latencies: QuantileSketch::with_capacity_hint(arrivals.len()),
             per_model: BTreeMap::new(),
             per_node_completed: BTreeMap::new(),
             migration_records: Vec::new(),
-            // Candidate-view scratch, refilled per arrival; after warm-up the
-            // dispatch path performs no allocation at all.
             views: Vec::new(),
             shard,
+        };
+        let initial: Vec<VnpuHandle> = cluster.deployments().map(|d| d.handle).collect();
+        for handle in initial {
+            partition.add_replica(cluster, handle, 0);
         }
+        partition
     }
 
     /// Advances the partition until no work remains or the next event or
@@ -1460,42 +1469,9 @@ impl<'a> PartitionSim<'a> {
         controller: &mut dyn ControlPlane,
         sink: &mut S,
     ) {
-        let PartitionSim {
-            options,
-            cache,
-            replicas,
-            dispatch_index,
-            router,
-            state,
-            events,
-            links,
-            recovery_armed,
-            avoid_migrating,
-            sample_interval,
-            alert_interval,
-            alert_scratch,
-            frame,
-            stale_models,
-            arrivals,
-            next_arrival,
-            makespan,
-            perf,
-            latencies,
-            per_model,
-            per_node_completed,
-            migration_records,
-            views,
-            shard,
-        } = self;
-        let arrivals: &[RequestArrival] = arrivals;
-        let recovery_armed = *recovery_armed;
-        let avoid_migrating = *avoid_migrating;
-        let sample_interval = *sample_interval;
-        let alert_interval = *alert_interval;
-
         loop {
-            let event_time = events.next_time();
-            let arrival_time = arrivals.get(*next_arrival).map(|a| a.at.get());
+            let event_time = self.events.next_time();
+            let arrival_time = self.arrivals.get(self.next_arrival).map(|a| a.at.get());
             let take_event = match (event_time, arrival_time) {
                 (None, None) => break,
                 (Some(t), Some(at)) => t <= at,
@@ -1507,449 +1483,498 @@ impl<'a> PartitionSim<'a> {
                 Some(t) if t < bound => {}
                 _ => break,
             }
+            if !take_event {
+                let arrival = self.arrivals[self.next_arrival];
+                self.next_arrival += 1;
+                self.arrive(arrival, sink);
+                continue;
+            }
 
-            if take_event {
-                let (now, kind, index) = events.pop().expect("peeked above"); // simlint::allow(P1, reason = "pop follows the peek that chose the event branch")
-                perf.events += 1;
-                match kind {
-                    EV_COMPLETION => {
-                        // A fenced board never reports: the batch stays
-                        // captured in `in_service` so failover (or the
-                        // end-of-run sweep) can account for every request.
-                        if replicas[index].fenced {
-                            continue;
-                        }
-                        // Only real work moves the makespan: completions here,
-                        // executed migrations via their resume event.
-                        *makespan = (*makespan).max(now);
-                        let replica = &mut replicas[index];
-                        let (mut batch, started, finish) = replica
-                            .in_service
-                            .take()
-                            .expect("completion without service"); // simlint::allow(P1, reason = "EV_COMPLETION is only scheduled while a batch is in service")
-                        debug_assert_eq!(finish, now);
-                        replica.window_busy += finish - started.max(state.window_start);
-                        for request in &batch {
-                            let latency = now.saturating_sub(request.arrived);
-                            latencies.record(latency);
-                            per_model.entry(request.model).or_default().record(latency);
-                            if let Some(window) = state.window_of(request.model) {
-                                window.metrics.record_latency(latency);
-                            }
-                            let mut deadline_met = None;
-                            if let Some(deadline) = request.deadline {
-                                let met = now <= deadline;
-                                deadline_met = Some(met);
-                                state.deadline.record_completion(met);
-                                if let Some(window) = state.window_of(request.model) {
-                                    window.metrics.record_deadline(met);
-                                }
-                            }
-                            router.record_completion();
-                            if let Some(chaos) = &mut state.chaos {
-                                chaos.note_completed(request.model);
-                            }
-                            if let Some(engine) = &mut state.slo {
-                                engine.observe_latency(
-                                    now,
-                                    request.model,
-                                    request.priority,
-                                    latency,
-                                );
-                            }
-                            sink.on_complete(
-                                now,
-                                request.sequence,
-                                request.model,
-                                request.priority,
-                                request.arrived,
-                                replica.handle.node,
-                                index,
-                                deadline_met,
-                            );
-                        }
-                        *per_node_completed.entry(replica.handle.node).or_default() += batch.len();
-                        // A live pre-copy in flight: the served batch wrote
-                        // its share of resident state, re-dirtying pages the
-                        // rounds must stream again.
-                        if let Some(precopy) = &mut replica.precopy {
-                            precopy
-                                .dirty
-                                .mark(batch.len() as u64 * precopy.dirty_bytes_per_request);
-                        }
-                        batch.clear();
-                        state.batch_pool.push(batch);
-                        if let Some((to, requested_at)) = replica.pending_migration.take() {
-                            let drain = now.saturating_sub(requested_at);
-                            Self::execute_migration(
-                                cluster,
-                                &mut replicas[index],
-                                dispatch_index,
-                                now,
-                                to,
-                                drain,
-                                &options.cost_model,
-                                migration_records,
-                                events,
-                                links,
-                                index,
-                                state,
-                                shard,
-                                sink,
-                            );
-                        } else {
-                            Self::start_next(&mut replicas[index], now, events, index, state, sink);
-                            Self::retire_if_drained(
-                                cluster,
-                                &mut replicas[index],
-                                dispatch_index,
-                                now,
-                                state,
-                            );
-                        }
-                    }
-                    EV_RESUME => {
-                        *makespan = (*makespan).max(now);
-                        Self::start_next(&mut replicas[index], now, events, index, state, sink);
-                        Self::retire_if_drained(
-                            cluster,
-                            &mut replicas[index],
-                            dispatch_index,
-                            now,
-                            state,
-                        );
-                    }
-                    EV_BATCH_TIMEOUT => {
-                        let replica = &mut replicas[index];
-                        // Stale timeouts (the batch filled, or the queue was
-                        // served/dropped meanwhile) are ignored; `start_next`
-                        // re-arms a fresh one when it holds again.
-                        if replica.batch_timeout_at == Some(now) {
-                            replica.batch_timeout_at = None;
-                            Self::start_next(replica, now, events, index, state, sink);
-                        }
-                    }
-                    EV_COPY_ROUND => {
-                        Self::copy_round(
-                            cluster,
-                            replicas,
-                            dispatch_index,
-                            index,
-                            now,
-                            &options.cost_model,
-                            migration_records,
-                            events,
-                            links,
-                            state,
-                            shard,
-                            sink,
-                        );
-                    }
-                    EV_MIGRATION => {
-                        let scheduled = options.migrations[index];
-                        let Some(target) = dispatch_index.slot_of(scheduled.handle) else {
-                            continue; // stale handle (already moved or undeployed)
-                        };
-                        // Under the sharded runner a destination owned by
-                        // another partition demotes a pre-copy to a cold
-                        // drain-and-move: the copy loop needs destination
-                        // state the source partition cannot see.
-                        let export = shard.is_some() && cluster.node(scheduled.to).is_none();
-                        match scheduled.mode {
-                            MigrationMode::Cold => Self::request_migration(
-                                cluster,
-                                replicas,
-                                dispatch_index,
-                                target,
-                                scheduled.to,
-                                now,
-                                &options.cost_model,
-                                migration_records,
-                                events,
-                                links,
-                                state,
-                                shard,
-                                sink,
-                            ),
-                            MigrationMode::PreCopy if export => Self::request_migration(
-                                cluster,
-                                replicas,
-                                dispatch_index,
-                                target,
-                                scheduled.to,
-                                now,
-                                &options.cost_model,
-                                migration_records,
-                                events,
-                                links,
-                                state,
-                                shard,
-                                sink,
-                            ),
-                            MigrationMode::PreCopy => Self::begin_precopy(
-                                cluster,
-                                replicas,
-                                target,
-                                scheduled.to,
-                                now,
-                                &options.cost_model,
-                                events,
-                                links,
-                                state,
-                                sink,
-                            ),
-                        }
-                    }
-                    EV_FAULT => {
-                        let mut chaos = state
-                            .chaos
-                            .take()
-                            .expect("EV_FAULT scheduled without chaos state"); // simlint::allow(P1, reason = "EV_FAULT events are only pushed when a fault schedule configured the chaos state")
-                        let fault = chaos.schedule[index];
-                        chaos.apply(&fault);
-                        sink.on_fault(now, &fault);
-                        match fault.kind {
-                            FaultKind::BoardCrash { node } => {
-                                // Cordon the board: nothing (the autoscaler
-                                // included) may place onto it again. Replicas
-                                // are fenced, not retired — the router keeps
-                                // steering into the black hole until the
-                                // missed-frame detector declares the board
-                                // dead, which is exactly the availability
-                                // cost of detection latency.
-                                cluster.set_offline(node, true);
-                                chaos.cordoned.insert(node);
-                                for replica in replicas
-                                    .iter_mut()
-                                    .filter(|r| r.live() && r.handle.node == node)
-                                {
-                                    replica.fenced = true;
-                                    replica.pending_migration = None;
-                                    replica.precopy = None;
-                                    replica.batch_timeout_at = None;
-                                }
-                            }
-                            FaultKind::BoardHang { node, for_cycles } => {
-                                // Cordon for the window so the control plane
-                                // cannot deploy into dead air; the sample-tick
-                                // sweep re-onlines the board once the hang
-                                // clears (unless the detector failed it over
-                                // first). Batches already on the device
-                                // complete; nothing new starts.
-                                cluster.set_offline(node, true);
-                                chaos.cordoned.insert(node);
-                                let resume_at = now.saturating_add(for_cycles);
-                                for (slot, replica) in replicas.iter_mut().enumerate() {
-                                    if replica.live()
-                                        && !replica.fenced
-                                        && replica.handle.node == node
-                                    {
-                                        replica.available_at = replica.available_at.max(resume_at);
-                                        events.push(resume_at, EV_RESUME, slot);
-                                    }
-                                }
-                            }
-                            // Window faults: `apply` opened the window; the
-                            // serving and transfer paths read it lazily.
-                            FaultKind::LinkDegrade { .. }
-                            | FaultKind::Straggler { .. }
-                            | FaultKind::TelemetryDropout { .. } => {}
-                        }
-                        state.chaos = Some(chaos);
-                    }
-                    EV_SAMPLE => {
-                        let interval = sample_interval.expect("sampling scheduled"); // simlint::allow(P1, reason = "EV_SAMPLE is only scheduled when sampling is configured")
-                        Self::chaos_tick(
-                            cluster,
-                            replicas,
-                            dispatch_index,
-                            cache,
-                            router,
-                            views,
-                            now,
-                            &options.cost_model,
-                            options.failover_edf,
-                            events,
-                            links,
-                            state,
-                            sink,
-                        );
-                        Self::sample_into(frame, stale_models, replicas, now, state);
-                        state.control.samples += 1;
-                        // Fleet-wide counter tracks are gathered only for an
-                        // active sink: the disabled path never pays the scan.
-                        if sink.active() {
-                            let mut counters = FleetCounters::default();
-                            for replica in replicas.iter().filter(|r| r.live()) {
-                                counters.queued += replica.queue.len() as u64;
-                                counters.in_flight += replica.in_flight() as u64;
-                                counters.live_replicas += 1;
-                                if replica.precopy.is_some() || replica.pending_migration.is_some()
-                                {
-                                    counters.migrations_in_flight += 1;
-                                }
-                                counters.resident_bytes +=
-                                    cluster.resident_state_bytes(replica.handle).unwrap_or(0);
-                            }
-                            sink.on_tick(now, frame, &counters);
-                        }
-                        let actions = controller.control(frame, cluster);
-                        for action in actions {
-                            Self::apply_action(
-                                cluster,
-                                replicas,
-                                dispatch_index,
-                                cache,
-                                action,
-                                now,
-                                &options.cost_model,
-                                migration_records,
-                                events,
-                                links,
-                                state,
-                                shard,
-                                sink,
-                            );
-                        }
-                        // Keep ticking only while there is (or can be) work:
-                        // the bus must not keep an otherwise-finished run
-                        // alive forever. The event counter answers "anything
-                        // still queued?" without scanning the heap.
-                        if Self::work_left(
-                            *next_arrival,
-                            arrivals,
-                            replicas,
-                            events,
-                            recovery_armed,
-                        ) {
-                            events.push(now + interval, EV_SAMPLE, 0);
-                        }
-                    }
-                    EV_ALERT => {
-                        alert_scratch.clear();
-                        if let Some(engine) = &mut state.slo {
-                            engine.evaluate(now, alert_scratch);
-                        }
-                        for alert in alert_scratch.iter() {
-                            state.alerts.push(*alert);
-                            sink.on_alert(now, alert);
-                            controller.on_alert(Cycles(now), alert);
-                        }
-                        // Same liveness rule as the telemetry bus: alert
-                        // ticks observe work, they must not sustain it.
-                        if let Some(tick) = alert_interval {
-                            if Self::work_left(
-                                *next_arrival,
-                                arrivals,
-                                replicas,
-                                events,
-                                recovery_armed,
-                            ) {
-                                events.push(now + tick, EV_ALERT, 0);
-                            }
-                        }
-                    }
-                    _ => unreachable!("unknown event kind"),
+            let (now, kind, index) = self.events.pop().expect("peeked above"); // simlint::allow(P1, reason = "pop follows the peek that chose the event branch")
+            self.perf.events += 1;
+            match kind {
+                EV_COMPLETION => self.complete(cluster, index, now, sink),
+                EV_RESUME => {
+                    // Only real work moves the makespan: completions, and
+                    // executed migrations via their resume event.
+                    self.makespan = self.makespan.max(now);
+                    self.start_next(index, now, sink);
+                    self.retire_if_drained(cluster, index, now);
                 }
-            } else {
-                let arrival = arrivals[*next_arrival];
-                *next_arrival += 1;
-                // Sharded runs share the trace slice: each partition walks
-                // every arrival but admits only those the deterministic plan
-                // assigns to it, so arrival counters sum to the trace length
-                // across partitions.
-                if let Some(context) = shard.as_ref() {
-                    if context.plan.owner(arrival.model, arrival.sequence) != context.index {
-                        continue;
+                EV_BATCH_TIMEOUT => {
+                    // Stale timeouts (the batch filled, or the queue was
+                    // served/dropped meanwhile) are ignored; `start_next`
+                    // re-arms a fresh one when it holds again.
+                    if self.replicas[index].batch_timeout_at == Some(now) {
+                        self.replicas[index].batch_timeout_at = None;
+                        self.start_next(index, now, sink);
                     }
                 }
-                perf.arrivals += 1;
-                let now = arrival.at.get();
-                sink.on_arrival(now, arrival.sequence, arrival.model);
+                EV_COPY_ROUND => self.copy_round(cluster, index, now, sink),
+                EV_MIGRATION => {
+                    let scheduled = self.options.migrations[index];
+                    // A stale handle (already moved or undeployed) is skipped.
+                    if let Some(slot) = self.dispatch_index.slot_of(scheduled.handle) {
+                        self.migrate(cluster, slot, scheduled.to, scheduled.mode, now, sink);
+                    }
+                }
+                EV_FAULT => self.inject_fault(cluster, index, now, sink),
+                EV_SAMPLE => self.sample_tick(cluster, controller, now, sink),
+                EV_ALERT => self.alert_tick(controller, now, sink),
+                _ => unreachable!("unknown event kind"),
+            }
+        }
+    }
 
-                views.clear();
-                if options.reference_dispatch {
-                    // The pre-index reference path, kept verbatim: scan the
-                    // whole table per arrival and recount the locality signal
-                    // per candidate.
-                    views.extend(
-                        replicas
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, r)| r.live() && !r.draining && r.model == arrival.model)
-                            .map(|(slot, r)| ReplicaView {
-                                index: slot,
-                                node: r.handle.node,
-                                queue_len: r.queue.len(),
-                                in_flight: r.in_flight(),
-                                unavailable: r.unavailable(now)
-                                    || (avoid_migrating && r.precopy.is_some()),
-                                node_replicas: replicas
-                                    .iter()
-                                    .filter(|o| {
-                                        o.live()
-                                            && !o.draining
-                                            && o.model == arrival.model
-                                            && o.handle.node == r.handle.node
-                                    })
-                                    .count(),
-                            }),
-                    );
+    /// Routes one trace arrival: admitted requests join their replica's
+    /// queue (and may start a batch), rejected ones only reach the window
+    /// counters and the sink.
+    fn arrive<S: ObsSink + ?Sized>(&mut self, arrival: RequestArrival, sink: &mut S) {
+        // Sharded runs share the trace slice: each partition walks every
+        // arrival but admits only those the deterministic plan assigns to
+        // it, so arrival counters sum to the trace length across partitions.
+        if let Some(context) = &self.shard {
+            if context.plan.owner(arrival.model, arrival.sequence) != context.index {
+                return;
+            }
+        }
+        self.perf.arrivals += 1;
+        let now = arrival.at.get();
+        sink.on_arrival(now, arrival.sequence, arrival.model);
+        self.collect_views(arrival.model, now);
+        match self.router.dispatch(arrival.model, &self.views) {
+            DispatchDecision::Dispatch(index) => {
+                if let Some(window) = self.state.window_of(arrival.model) {
+                    window.arrivals += 1;
+                }
+                if let Some(chaos) = &mut self.state.chaos {
+                    chaos.note_admitted(arrival.model);
+                }
+                let replica = &mut self.replicas[index];
+                sink.on_dispatch(
+                    now,
+                    arrival.sequence,
+                    arrival.model,
+                    replica.handle.node,
+                    index,
+                );
+                replica.enqueue(QueuedRequest {
+                    model: arrival.model,
+                    arrived: now,
+                    deadline: arrival.deadline.map(|d| d.get()),
+                    priority: arrival.priority,
+                    sequence: arrival.sequence,
+                });
+                self.start_next(index, now, sink);
+            }
+            decision @ (DispatchDecision::RejectNoReplica | DispatchDecision::RejectOverload) => {
+                if let Some(window) = self.state.window_of(arrival.model) {
+                    window.rejected += 1;
+                }
+                let reason = if matches!(decision, DispatchDecision::RejectNoReplica) {
+                    RejectReason::NoReplica
                 } else {
-                    // Indexed path: O(candidates of this model), no recount.
-                    for &slot in dispatch_index.candidates(arrival.model) {
-                        let replica = &replicas[slot];
-                        views.push(ReplicaView {
-                            index: slot,
-                            node: replica.handle.node,
-                            queue_len: replica.queue.len(),
-                            in_flight: replica.in_flight(),
-                            unavailable: replica.unavailable(now)
-                                || (avoid_migrating && replica.precopy.is_some()),
-                            node_replicas: dispatch_index
-                                .node_count(arrival.model, replica.handle.node),
-                        });
-                    }
+                    RejectReason::Overload
+                };
+                sink.on_reject(now, arrival.sequence, arrival.model, reason);
+            }
+        }
+    }
+
+    /// Refills the candidate-view scratch with the dispatch candidates of
+    /// `model` at `now`, for arrival dispatch and failover re-dispatch alike.
+    fn collect_views(&mut self, model: ModelId, now: u64) {
+        let avoid_migrating = self.options.migration_aware_dispatch;
+        self.views.clear();
+        if self.options.reference_dispatch {
+            // The pre-index reference path: scan the whole table and recount
+            // the locality signal per candidate.
+            let routable = |r: &ReplicaSim| r.live() && !r.draining && r.model == model;
+            let replicas = &self.replicas;
+            self.views.extend(
+                replicas
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, r)| routable(r))
+                    .map(|(slot, r)| {
+                        let node_replicas = replicas
+                            .iter()
+                            .filter(|o| routable(o) && o.handle.node == r.handle.node)
+                            .count();
+                        r.view(slot, now, avoid_migrating, node_replicas)
+                    }),
+            );
+        } else {
+            // Indexed path: O(candidates of this model), no recount.
+            for &slot in self.dispatch_index.candidates(model) {
+                let replica = &self.replicas[slot];
+                let node_replicas = self.dispatch_index.node_count(model, replica.handle.node);
+                self.views
+                    .push(replica.view(slot, now, avoid_migrating, node_replicas));
+            }
+        }
+    }
+
+    /// Finishes the batch in service on replica `index`, then moves the
+    /// replica on: a pending drain-then-move executes, otherwise the next
+    /// batch starts (or a drained replica retires).
+    fn complete<S: ObsSink + ?Sized>(
+        &mut self,
+        cluster: &mut NpuCluster,
+        index: usize,
+        now: u64,
+        sink: &mut S,
+    ) {
+        // A fenced board never reports: the batch stays captured in
+        // `in_service` so failover (or the end-of-run sweep) can account for
+        // every request.
+        if self.replicas[index].fenced {
+            return;
+        }
+        self.makespan = self.makespan.max(now);
+        let replica = &mut self.replicas[index];
+        let (mut batch, started, finish) = replica
+            .in_service
+            .take()
+            .expect("completion without service"); // simlint::allow(P1, reason = "EV_COMPLETION is only scheduled while a batch is in service")
+        debug_assert_eq!(finish, now);
+        replica.window_busy += finish - started.max(self.state.window_start);
+        for request in &batch {
+            let latency = now.saturating_sub(request.arrived);
+            self.latencies.record(latency);
+            self.per_model
+                .entry(request.model)
+                .or_default()
+                .record(latency);
+            if let Some(window) = self.state.window_of(request.model) {
+                window.metrics.record_latency(latency);
+            }
+            let mut deadline_met = None;
+            if let Some(deadline) = request.deadline {
+                let met = now <= deadline;
+                deadline_met = Some(met);
+                self.state.deadline.record_completion(met);
+                if let Some(window) = self.state.window_of(request.model) {
+                    window.metrics.record_deadline(met);
                 }
-                match router.dispatch(arrival.model, views) {
-                    DispatchDecision::Dispatch(index) => {
-                        if let Some(window) = state.window_of(arrival.model) {
-                            window.arrivals += 1;
-                        }
-                        if let Some(chaos) = &mut state.chaos {
-                            chaos.note_admitted(arrival.model);
-                        }
-                        sink.on_dispatch(
-                            now,
-                            arrival.sequence,
-                            arrival.model,
-                            replicas[index].handle.node,
-                            index,
-                        );
-                        let request = QueuedRequest {
-                            model: arrival.model,
-                            arrived: now,
-                            deadline: arrival.deadline.map(|d| d.get()),
-                            priority: arrival.priority,
-                            sequence: arrival.sequence,
-                        };
-                        replicas[index].enqueue(request);
-                        Self::start_next(&mut replicas[index], now, events, index, state, sink);
+            }
+            self.router.record_completion();
+            if let Some(chaos) = &mut self.state.chaos {
+                chaos.note_completed(request.model);
+            }
+            if let Some(engine) = &mut self.state.slo {
+                engine.observe_latency(now, request.model, request.priority, latency);
+            }
+            sink.on_complete(
+                now,
+                request.sequence,
+                request.model,
+                request.priority,
+                request.arrived,
+                replica.handle.node,
+                index,
+                deadline_met,
+            );
+        }
+        *self
+            .per_node_completed
+            .entry(replica.handle.node)
+            .or_default() += batch.len();
+        // A live pre-copy in flight: the served batch wrote its share of
+        // resident state, re-dirtying pages the rounds must stream again.
+        if let Some(precopy) = &mut replica.precopy {
+            precopy
+                .dirty
+                .mark(batch.len() as u64 * precopy.dirty_bytes_per_request);
+        }
+        batch.clear();
+        self.state.batch_pool.push(batch);
+        if let Some((to, requested_at)) = replica.pending_migration.take() {
+            let drain = now.saturating_sub(requested_at);
+            self.execute_migration(cluster, index, now, to, drain, sink);
+        } else {
+            self.start_next(index, now, sink);
+            self.retire_if_drained(cluster, index, now);
+        }
+    }
+
+    /// Starts the next service pass if replica `index` is idle and
+    /// available: drops expired requests (when enabled), then collects up to
+    /// `max_batch` queued requests into one batch — unless a batch-formation
+    /// window is configured and still open, in which case the queue is held
+    /// (bounded by `max_batch_wait`) to let the batch fill.
+    fn start_next<S: ObsSink + ?Sized>(&mut self, index: usize, now: u64, sink: &mut S) {
+        let replica = &mut self.replicas[index];
+        if replica.retired
+            || replica.fenced
+            || replica.in_service.is_some()
+            || now < replica.available_at
+        {
+            return;
+        }
+        // Defense in depth for chaos runs: no batch ever starts on a board
+        // that is down right now (the fenced flag and the hang's
+        // `available_at` push normally make this unreachable).
+        if let Some(chaos) = &self.state.chaos {
+            if chaos.board_down(replica.handle.node, now) {
+                return;
+            }
+        }
+        if self.options.drop_expired {
+            let state = &mut self.state;
+            let node = replica.handle.node;
+            replica.queue.retain(|queued| match queued.deadline {
+                Some(d) if d < now => {
+                    state.expire(now, queued, node, index, sink);
+                    false
+                }
+                _ => true,
+            });
+        }
+        if replica.queue.is_empty() {
+            return;
+        }
+        // Hold a sub-max_batch queue while the batch-formation window is
+        // open; draining replicas flush immediately (their batch can never
+        // fill again).
+        let max_batch = self.options.max_batch.max(1);
+        if replica.queue.len() < max_batch && !replica.draining {
+            if let Some(wait) = self.options.max_batch_wait {
+                let oldest = replica.queue.oldest_arrival().expect("non-empty queue"); // simlint::allow(P1, reason = "the empty-queue case returned above")
+                let due = oldest.saturating_add(wait);
+                if now < due {
+                    if replica.batch_timeout_at.is_none() {
+                        replica.batch_timeout_at = Some(due);
+                        self.events.push(due, EV_BATCH_TIMEOUT, index);
                     }
-                    decision @ (DispatchDecision::RejectNoReplica
-                    | DispatchDecision::RejectOverload) => {
-                        if let Some(window) = state.window_of(arrival.model) {
-                            window.rejected += 1;
-                        }
-                        let reason = if matches!(decision, DispatchDecision::RejectNoReplica) {
-                            RejectReason::NoReplica
-                        } else {
-                            RejectReason::Overload
-                        };
-                        sink.on_reject(now, arrival.sequence, arrival.model, reason);
+                    return;
+                }
+            }
+        }
+        replica.batch_timeout_at = None;
+        let size = replica.queue.len().min(max_batch);
+        let mut batch = self.state.batch_pool.pop().unwrap_or_default();
+        replica.queue.drain_into(size, &mut batch);
+        let base = replica.batch_cycles[size - 1];
+        let factor = match &mut self.state.rng {
+            Some(rng) => lognormal_factor(rng, replica.cv),
+            None => 1.0,
+        };
+        let mut service = ((base as f64 * factor) as u64).max(1);
+        // A straggler window inflates every batch *started* on the board.
+        if let Some(chaos) = &self.state.chaos {
+            let straggle = chaos.service_factor(replica.handle.node, now);
+            if straggle > 1.0 {
+                service = ((service as f64 * straggle) as u64).max(service);
+            }
+        }
+        let finish = now + service;
+        // Batch-member iteration is extra work the disabled path must never
+        // pay; an active sink sees each member's queue span, then the batch.
+        if sink.active() {
+            for request in &batch {
+                sink.on_service_request(
+                    now,
+                    request.sequence,
+                    request.model,
+                    request.arrived,
+                    replica.handle.node,
+                    index,
+                );
+            }
+            sink.on_service_batch(now, finish, replica.model, replica.handle.node, index, size);
+        }
+        replica.in_service = Some((batch, now, finish));
+        self.state.batches += 1;
+        self.events.push(finish, EV_COMPLETION, index);
+    }
+
+    /// Brings deployment `handle` into the simulation as a new replica slot
+    /// serving from `now`, and returns the slot.
+    fn add_replica(&mut self, cluster: &NpuCluster, handle: VnpuHandle, now: u64) -> usize {
+        // simlint::allow(P1, reason = "every caller passes a handle the cluster has just deployed")
+        let deployment = cluster.deployment(handle).expect("a deployed handle");
+        let replica = self
+            .cache
+            .replica_sim(&self.options, cluster, deployment, now);
+        let slot = self.replicas.len();
+        self.dispatch_index
+            .insert(slot, replica.model, handle.node, handle);
+        self.replicas.push(replica);
+        self.state.live_replicas += 1;
+        self.state.peak_replicas = self.state.peak_replicas.max(self.state.live_replicas);
+        slot
+    }
+
+    /// Releases replica `slot` for good: its vNPU returns to the cluster, it
+    /// leaves the dispatch index, and its provisioned time is banked.
+    fn release_replica(&mut self, cluster: &mut NpuCluster, slot: usize, now: u64) {
+        let replica = &mut self.replicas[slot];
+        let handle = replica.handle;
+        self.dispatch_index
+            .evict(slot, replica.model, handle.node, handle, !replica.draining);
+        replica.retired = true;
+        replica.batch_timeout_at = None;
+        replica.pending_migration = None;
+        self.state.replica_cycles += now.saturating_sub(replica.activated_at);
+        self.state.live_replicas -= 1;
+        let released = cluster.undeploy(handle).is_ok();
+        debug_assert!(
+            released,
+            "a live replica's deployment must exist at release"
+        );
+    }
+
+    /// Releases replica `index` once a scale-down has fully drained it.
+    fn retire_if_drained(&mut self, cluster: &mut NpuCluster, index: usize, now: u64) {
+        let replica = &self.replicas[index];
+        if !replica.draining
+            || replica.retired
+            || replica.in_service.is_some()
+            || !replica.queue.is_empty()
+            || replica.pending_migration.is_some()
+        {
+            return;
+        }
+        self.release_replica(cluster, index, now);
+        self.state.control.released += 1;
+    }
+
+    /// Applies scheduled fault `index` at `now`. Crashes fence the board's
+    /// replicas, hangs push their availability past the hang; window faults
+    /// only open a window the serving and transfer paths read lazily.
+    fn inject_fault<S: ObsSink + ?Sized>(
+        &mut self,
+        cluster: &mut NpuCluster,
+        index: usize,
+        now: u64,
+        sink: &mut S,
+    ) {
+        let chaos = self
+            .state
+            .chaos
+            .as_mut()
+            .expect("EV_FAULT scheduled without chaos state"); // simlint::allow(P1, reason = "EV_FAULT events are only pushed when a fault schedule configured the chaos state")
+        let fault = chaos.schedule[index];
+        chaos.apply(&fault);
+        sink.on_fault(now, &fault);
+        match fault.kind {
+            FaultKind::BoardCrash { node } => {
+                // Cordon the board: nothing (the autoscaler included) may
+                // place onto it again. Replicas are fenced, not retired — the
+                // router keeps steering into the black hole until the
+                // missed-frame detector declares the board dead, which is
+                // exactly the availability cost of detection latency.
+                cluster.set_offline(node, true);
+                chaos.cordoned.insert(node);
+                for replica in self
+                    .replicas
+                    .iter_mut()
+                    .filter(|r| r.live() && r.handle.node == node)
+                {
+                    replica.fence();
+                }
+            }
+            FaultKind::BoardHang { node, for_cycles } => {
+                // Cordon for the window so the control plane cannot deploy
+                // into dead air; the failover pass re-onlines the board once
+                // the hang clears (unless the detector failed it over
+                // first). Batches already on the device complete; nothing
+                // new starts.
+                cluster.set_offline(node, true);
+                chaos.cordoned.insert(node);
+                let resume_at = now.saturating_add(for_cycles);
+                for (slot, replica) in self.replicas.iter_mut().enumerate() {
+                    if replica.live() && !replica.fenced && replica.handle.node == node {
+                        replica.available_at = replica.available_at.max(resume_at);
+                        self.events.push(resume_at, EV_RESUME, slot);
                     }
                 }
             }
+            FaultKind::LinkDegrade { .. }
+            | FaultKind::Straggler { .. }
+            | FaultKind::TelemetryDropout { .. } => {}
+        }
+    }
+
+    /// The telemetry tick of a sequential run: the partition-side
+    /// [`tick`](Self::tick), then the control plane over the fresh frame,
+    /// then the next tick while work remains.
+    fn sample_tick<S: ObsSink + ?Sized>(
+        &mut self,
+        cluster: &mut NpuCluster,
+        controller: &mut dyn ControlPlane,
+        now: u64,
+        sink: &mut S,
+    ) {
+        let interval = self.options.telemetry_interval.expect("sampling scheduled"); // simlint::allow(P1, reason = "EV_SAMPLE is only scheduled when sampling is configured")
+        self.tick(cluster, now, sink);
+        self.state.control.samples += 1;
+        for action in controller.control(&self.frame, cluster) {
+            self.apply_action(cluster, action, now, sink);
+        }
+        // Keep ticking only while there is (or can be) work: the bus must
+        // not keep an otherwise-finished run alive forever.
+        if self.work_left() {
+            self.events.push(now + interval, EV_SAMPLE, 0);
+        }
+    }
+
+    /// Evaluates the SLO engine and hands its alert edges to the report, the
+    /// sink and the control plane.
+    fn alert_tick<S: ObsSink + ?Sized>(
+        &mut self,
+        controller: &mut dyn ControlPlane,
+        now: u64,
+        sink: &mut S,
+    ) {
+        let Some(engine) = &mut self.state.slo else {
+            return;
+        };
+        self.alert_scratch.clear();
+        engine.evaluate(now, &mut self.alert_scratch);
+        let tick = engine.tick();
+        for alert in &self.alert_scratch {
+            self.state.alerts.push(*alert);
+            sink.on_alert(now, alert);
+            controller.on_alert(Cycles(now), alert);
+        }
+        // Same liveness rule as the telemetry bus: alert ticks observe work,
+        // they must not sustain it.
+        if self.work_left() {
+            self.events.push(now + tick, EV_ALERT, 0);
+        }
+    }
+
+    /// The partition side of a telemetry tick: failure detection and
+    /// failover, the frame sample, and — for an active sink only, so the
+    /// disabled path never pays the scan — the fleet-wide counter tracks.
+    ///
+    /// The sequential loop hands the frame to the control plane next; the
+    /// sharded coordinator merges the partitions' frames first and owns
+    /// `ControlStats::samples` (one per barrier tick), so it is never bumped
+    /// here.
+    pub(crate) fn tick<S: ObsSink + ?Sized>(
+        &mut self,
+        cluster: &mut NpuCluster,
+        now: u64,
+        sink: &mut S,
+    ) {
+        self.failover(cluster, now, sink);
+        self.sample_frame(now);
+        if sink.active() {
+            let mut counters = FleetCounters::default();
+            for replica in self.replicas.iter().filter(|r| r.live()) {
+                counters.queued += replica.queue.len() as u64;
+                counters.in_flight += replica.in_flight() as u64;
+                counters.live_replicas += 1;
+                if replica.precopy.is_some() || replica.pending_migration.is_some() {
+                    counters.migrations_in_flight += 1;
+                }
+                counters.resident_bytes +=
+                    cluster.resident_state_bytes(replica.handle).unwrap_or(0);
+            }
+            sink.on_tick(now, &self.frame, &counters);
         }
     }
 
@@ -2015,27 +2040,21 @@ impl<'a> PartitionSim<'a> {
     /// replica with queued/in-service work or a pending drain-then-move, or
     /// any real (non-observer) event queued. Shared by the telemetry and
     /// alert ticks so neither periodic observer keeps a finished run alive.
-    fn work_left(
-        next_arrival: usize,
-        arrivals: &[RequestArrival],
-        replicas: &[ReplicaSim],
-        events: &EventQueue,
-        recovery_armed: bool,
-    ) -> bool {
-        next_arrival < arrivals.len()
-            || replicas.iter().any(|r| {
+    fn work_left(&self) -> bool {
+        self.next_arrival < self.arrivals.len()
+            || self.replicas.iter().any(|r| {
                 // Work marooned on a fenced board counts only while recovery
                 // will eventually drain it (detection needs the telemetry
                 // ticks this keeps alive); without recovery it would sustain
                 // the bus forever, so the run ends and the sweep counts the
                 // marooned requests as lost.
                 r.live()
-                    && (!r.fenced || recovery_armed)
+                    && (!r.fenced || self.recovery_armed)
                     && (r.in_service.is_some()
                         || !r.queue.is_empty()
                         || r.pending_migration.is_some())
             })
-            || events.has_non_sample()
+            || self.events.has_non_sample()
     }
 
     /// The failure-detection and failover pass, run at every telemetry tick
@@ -2045,42 +2064,29 @@ impl<'a> PartitionSim<'a> {
     /// Every monitored board (one hosting at least one live replica) either
     /// heartbeats or bumps its consecutive-missed-frame counter; a board at
     /// the policy threshold is **declared dead**: its replicas are fenced
-    /// and retired, the orphaned requests (queued + in flight) are
+    /// and released, the orphaned requests (queued + in flight) are
     /// re-dispatched to surviving replicas within their remaining deadline
     /// budget, and replacement replicas are re-placed through the placement
     /// engine with the state restore priced over the (possibly degraded)
     /// interconnect. Finally, cordoned boards whose transient fault window
     /// has closed rejoin the placement engine as spare capacity.
-    #[allow(clippy::too_many_arguments)]
-    fn chaos_tick<S: ObsSink + ?Sized>(
-        cluster: &mut NpuCluster,
-        replicas: &mut Vec<ReplicaSim>,
-        dispatch_index: &mut ReplicaIndex,
-        cache: &mut CalibrationCache,
-        router: &mut Router,
-        views: &mut Vec<ReplicaView>,
-        now: u64,
-        cost_model: &MigrationCostModel,
-        failover_edf: bool,
-        events: &mut EventQueue,
-        links: &mut LinkSchedule,
-        state: &mut ServeState,
-        sink: &mut S,
-    ) {
-        let Some(mut chaos) = state.chaos.take() else {
+    fn failover<S: ObsSink + ?Sized>(&mut self, cluster: &mut NpuCluster, now: u64, sink: &mut S) {
+        let Some(mut chaos) = self.state.chaos.take() else {
             return;
         };
         let Some(policy) = chaos.recovery else {
-            state.chaos = Some(chaos);
+            self.state.chaos = Some(chaos);
             return;
         };
 
         // Heartbeat accounting over the monitored boards. BTreeSet: the
         // declaration scan below must walk nodes in a deterministic order.
-        let mut monitored: BTreeSet<NodeId> = BTreeSet::new();
-        for replica in replicas.iter().filter(|r| r.live()) {
-            monitored.insert(replica.handle.node);
-        }
+        let monitored: BTreeSet<NodeId> = self
+            .replicas
+            .iter()
+            .filter(|r| r.live())
+            .map(|r| r.handle.node)
+            .collect();
         let mut dead: Vec<NodeId> = Vec::new();
         for &node in &monitored {
             if chaos.declared.contains(&node) {
@@ -2112,10 +2118,11 @@ impl<'a> PartitionSim<'a> {
             chaos.stats.detect_cycles_total += detect;
             chaos.stats.detect_cycles_max = chaos.stats.detect_cycles_max.max(detect);
 
-            // Fence and retire every live replica on the dead board,
+            // Fence and release every live replica on the dead board,
             // capturing its orphans and (for non-draining replicas) the
             // deployment shape to restore elsewhere.
-            let slots: Vec<usize> = replicas
+            let slots: Vec<usize> = self
+                .replicas
                 .iter()
                 .enumerate()
                 .filter(|(_, r)| r.live() && r.handle.node == node)
@@ -2124,100 +2131,62 @@ impl<'a> PartitionSim<'a> {
             let mut orphans: Vec<(usize, QueuedRequest)> = Vec::new();
             let mut failed_here = 0u64;
             for slot in slots {
-                let (handle, was_draining) = {
-                    let r = &replicas[slot];
-                    (r.handle, r.draining)
-                };
-                let restore_spec = if was_draining {
+                let replica = &mut self.replicas[slot];
+                let handle = replica.handle;
+                let restore_spec = if replica.draining {
                     None
                 } else {
-                    cluster.deployment(handle).map(|d| {
-                        (
-                            DeploySpec {
-                                model: d.model,
-                                mes: d.config.num_mes_per_core,
-                                ves: d.config.num_ves_per_core,
-                                sram_bytes: Some(d.config.sram_size_per_core),
-                                hbm_bytes: Some(d.config.mem_size_per_core),
-                                priority: d.priority,
-                                mode: d.mode,
-                            },
-                            cluster.resident_state_bytes(handle).unwrap_or(0),
-                        )
-                    })
+                    cluster
+                        .deployment(handle)
+                        .map(|d| (d.spec(), cluster.resident_state_bytes(handle).unwrap_or(0)))
                 };
-                let replica = &mut replicas[slot];
-                replica.fenced = true;
-                replica.pending_migration = None;
-                replica.precopy = None;
-                replica.batch_timeout_at = None;
+                replica.fence();
                 if let Some((mut batch, _, _)) = replica.in_service.take() {
                     orphans.extend(batch.iter().map(|&request| (slot, request)));
                     batch.clear();
-                    state.batch_pool.push(batch);
+                    self.state.batch_pool.push(batch);
                 }
-                let queued = replica.queue.len();
-                let mut drained: Vec<QueuedRequest> = Vec::with_capacity(queued);
-                replica.queue.drain_into(queued, &mut drained);
-                orphans.extend(drained.into_iter().map(|request| (slot, request)));
-                dispatch_index.evict(slot, replica.model, node, handle, !replica.draining);
-                replica.retired = true;
-                state.replica_cycles += now.saturating_sub(replica.activated_at);
-                state.live_replicas -= 1;
+                orphans.extend(
+                    replica
+                        .queue
+                        .take_all()
+                        .into_iter()
+                        .map(|request| (slot, request)),
+                );
+                self.release_replica(cluster, slot, now);
                 failed_here += 1;
                 chaos.stats.replicas_failed += 1;
-                let undeployed = cluster.undeploy(handle);
-                debug_assert!(
-                    undeployed.is_ok(),
-                    "a live replica's deployment must exist at failover"
-                );
 
                 // Re-place the replica on a surviving board, pricing the
                 // state restore over the interconnect (degraded links slow
                 // recovery too).
-                if let Some((spec, state_bytes)) = restore_spec {
-                    match cluster.deploy(spec, policy.placement) {
-                        Ok(new_handle) => {
-                            let deployment = *cluster
-                                .deployment(new_handle)
-                                .expect("deploy just returned this handle"); // simlint::allow(P1, reason = "deployment record is created by the successful deploy above")
-                            let mut sim = cache.replica_sim(cluster, &deployment, now);
-                            let frequency = cluster
-                                .node(new_handle.node)
-                                .expect("deploy placed on an existing node") // simlint::allow(P1, reason = "deploy only places on nodes of the cluster")
-                                .npu_config()
-                                .frequency;
-                            let mut cycles =
-                                cost_model.transfer_cycles(state_bytes, frequency).get();
-                            let factor = chaos.link_factor(node, new_handle.node, now);
-                            if factor > 1.0 {
-                                cycles = ((cycles as f64 * factor) as u64).max(cycles);
-                            }
-                            let ready = links.reserve(node, new_handle.node, now, cycles);
-                            sim.available_at = ready;
-                            let new_slot = replicas.len();
-                            dispatch_index.insert(new_slot, sim.model, new_handle.node, new_handle);
-                            replicas.push(sim);
-                            state.live_replicas += 1;
-                            state.peak_replicas = state.peak_replicas.max(state.live_replicas);
-                            events.push(ready, EV_RESUME, new_slot);
-                            chaos.stats.replicas_restored += 1;
-                            let restore = ready.saturating_sub(fault_at);
-                            chaos.stats.restore_cycles_total += restore;
-                            chaos.stats.restore_cycles_max =
-                                chaos.stats.restore_cycles_max.max(restore);
-                            sink.on_replica_restored(
-                                now,
-                                new_handle.node,
-                                new_slot,
-                                ready.saturating_sub(now),
-                            );
-                        }
-                        Err(_) => {
-                            chaos.stats.restore_rejected += 1;
-                        }
-                    }
-                }
+                let Some((spec, state_bytes)) = restore_spec else {
+                    continue;
+                };
+                let Ok(new_handle) = cluster.deploy(spec, policy.placement) else {
+                    chaos.stats.restore_rejected += 1;
+                    continue;
+                };
+                let frequency = cluster
+                    .node(new_handle.node)
+                    .expect("deploy placed on an existing node") // simlint::allow(P1, reason = "deploy only places on nodes of the cluster")
+                    .npu_config()
+                    .frequency;
+                let cycles = self
+                    .options
+                    .cost_model
+                    .transfer_cycles(state_bytes, frequency)
+                    .get();
+                let cycles = chaos.link_cycles(node, new_handle.node, now, cycles);
+                let ready = self.links.reserve(node, new_handle.node, now, cycles);
+                let new_slot = self.add_replica(cluster, new_handle, now);
+                self.replicas[new_slot].available_at = ready;
+                self.events.push(ready, EV_RESUME, new_slot);
+                chaos.stats.replicas_restored += 1;
+                let restore = ready.saturating_sub(fault_at);
+                chaos.stats.restore_cycles_total += restore;
+                chaos.stats.restore_cycles_max = chaos.stats.restore_cycles_max.max(restore);
+                sink.on_replica_restored(now, new_handle.node, new_slot, ready.saturating_sub(now));
             }
 
             // Re-dispatch the orphans in admission order — or, with
@@ -2226,7 +2195,7 @@ impl<'a> PartitionSim<'a> {
             // backlog. A request past its deadline is dropped with the
             // normal expiry accounting; one no surviving replica can take is
             // lost — with a fault attribution, never silently.
-            if failover_edf {
+            if self.options.failover_edf {
                 orphans.sort_by_key(|(_, request)| request.edf_key());
             } else {
                 orphans.sort_by_key(|(_, request)| request.sequence);
@@ -2234,53 +2203,22 @@ impl<'a> PartitionSim<'a> {
             chaos.stats.orphaned += orphans.len() as u64;
             let mut redispatched_here = 0u64;
             for (dead_slot, request) in orphans {
-                if state.drop_expired && request.deadline.is_some_and(|d| d < now) {
+                if self.options.drop_expired && request.deadline.is_some_and(|d| d < now) {
                     chaos.stats.expired_in_failover += 1;
-                    state.deadline.record_dropped();
-                    if state.sampling {
-                        state
-                            .windows
-                            .entry(request.model)
-                            .or_default()
-                            .metrics
-                            .record_dropped();
-                    }
-                    if let Some(engine) = &mut state.slo {
-                        engine.observe_expired(now, request.model, request.priority);
-                    }
-                    sink.on_expire(
-                        now,
-                        request.sequence,
-                        request.model,
-                        request.arrived,
-                        node,
-                        dead_slot,
-                    );
+                    self.state.expire(now, &request, node, dead_slot, sink);
                     continue;
                 }
-                views.clear();
-                for &slot in dispatch_index.candidates(request.model) {
-                    let replica = &replicas[slot];
-                    views.push(ReplicaView {
-                        index: slot,
-                        node: replica.handle.node,
-                        queue_len: replica.queue.len(),
-                        in_flight: replica.in_flight(),
-                        unavailable: replica.unavailable(now),
-                        node_replicas: dispatch_index
-                            .node_count(request.model, replica.handle.node),
-                    });
-                }
-                match router.redispatch(request.model, views) {
+                self.collect_views(request.model, now);
+                match self.router.redispatch(request.model, &self.views) {
                     DispatchDecision::Dispatch(slot) => {
                         redispatched_here += 1;
                         chaos.stats.redispatched += 1;
-                        replicas[slot].enqueue(request);
+                        self.replicas[slot].enqueue(request);
                         touched.insert(slot);
                     }
                     DispatchDecision::RejectNoReplica | DispatchDecision::RejectOverload => {
                         chaos.note_lost(request.model);
-                        if let Some(engine) = &mut state.slo {
+                        if let Some(engine) = &mut self.state.slo {
                             engine.observe_expired(now, request.model, request.priority);
                         }
                         sink.on_lost(now, request.sequence, request.model, node);
@@ -2308,39 +2246,35 @@ impl<'a> PartitionSim<'a> {
             chaos.fault_since.remove(&node);
         }
 
-        state.chaos = Some(chaos);
+        self.state.chaos = Some(chaos);
         for slot in touched {
-            Self::start_next(&mut replicas[slot], now, events, slot, state, sink);
+            self.start_next(slot, now, sink);
         }
     }
 
-    /// Closes the current telemetry window and rebuilds `frame` in place for
-    /// the control plane.
+    /// Closes the current telemetry window and rebuilds the frame in place
+    /// for the control plane.
     ///
     /// The frame's replica vector and model map are per-run scratch: the
     /// vector is cleared and refilled (its capacity persists) and the map's
     /// entries are reset in place, with new models inserted and vanished
-    /// models swept via the reused `stale` buffer — so a steady-state tick
-    /// over a stable fleet allocates nothing. The frame contents are
+    /// models swept via the reused stale-model buffer — so a steady-state
+    /// tick over a stable fleet allocates nothing. The frame contents are
     /// bit-identical to a from-scratch build.
-    fn sample_into(
-        frame: &mut TelemetryFrame,
-        stale: &mut Vec<ModelId>,
-        replicas: &mut [ReplicaSim],
-        now: u64,
-        state: &mut ServeState,
-    ) {
+    fn sample_frame(&mut self, now: u64) {
+        let frame = &mut self.frame;
+        let window_start = self.state.window_start;
         frame.at = Cycles(now);
-        frame.window = Cycles(now.saturating_sub(state.window_start));
+        frame.window = Cycles(now.saturating_sub(window_start));
         frame.replicas.clear();
-        for replica in replicas.iter_mut().filter(|r| r.live()) {
+        for replica in self.replicas.iter_mut().filter(|r| r.live()) {
             if let Some((_, started, _)) = &replica.in_service {
-                replica.window_busy += now - (*started).max(state.window_start);
+                replica.window_busy += now - (*started).max(window_start);
             }
             // A replica activated mid-window is measured over its own
             // lifetime, not the full window — a saturated newcomer must not
             // read as half-idle.
-            let lifetime = now.saturating_sub(replica.activated_at.max(state.window_start));
+            let lifetime = now.saturating_sub(replica.activated_at.max(window_start));
             let utilization = if lifetime > 0 {
                 (replica.window_busy as f64 / lifetime as f64).min(1.0)
             } else {
@@ -2371,7 +2305,7 @@ impl<'a> PartitionSim<'a> {
             entry.queued += sample.queue_len;
             entry.in_flight += sample.in_flight;
         }
-        for (model, window_acc) in state.windows.iter_mut() {
+        for (model, window_acc) in self.state.windows.iter_mut().flatten() {
             let entry = frame
                 .models
                 .entry(*model)
@@ -2386,185 +2320,91 @@ impl<'a> PartitionSim<'a> {
         }
         // Sweep models that vanished since the last tick (no live replica,
         // never any window traffic) so the frame matches a fresh build.
-        stale.clear();
-        stale.extend(frame.models.keys().copied().filter(|model| {
-            !state.windows.contains_key(model)
-                && !frame.replicas.iter().any(|sample| sample.model == *model)
-        }));
-        for model in stale.drain(..) {
+        let windows = &self.state.windows;
+        self.stale_models.clear();
+        self.stale_models
+            .extend(frame.models.keys().copied().filter(|model| {
+                !windows.as_ref().is_some_and(|w| w.contains_key(model))
+                    && !frame.replicas.iter().any(|sample| sample.model == *model)
+            }));
+        for model in self.stale_models.drain(..) {
             frame.models.remove(&model);
         }
-        state.window_start = now;
+        self.state.window_start = now;
     }
 
-    /// Applies one control-plane action inside the event loop.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_action<S: ObsSink + ?Sized>(
+    /// Applies one control-plane action inside the event loop. The sharded
+    /// coordinator routes scale-downs and migrations here too, at the
+    /// barrier, on the partition owning the replica (it places scale-ups
+    /// fleet-wide itself and hands them to [`adopt_replica`](Self::adopt_replica)).
+    pub(crate) fn apply_action<S: ObsSink + ?Sized>(
+        &mut self,
         cluster: &mut NpuCluster,
-        replicas: &mut Vec<ReplicaSim>,
-        dispatch_index: &mut ReplicaIndex,
-        cache: &mut CalibrationCache,
         action: ControlAction,
         now: u64,
-        cost_model: &MigrationCostModel,
-        records: &mut Vec<MigrationRecord>,
-        events: &mut EventQueue,
-        links: &mut LinkSchedule,
-        state: &mut ServeState,
-        shard: &mut Option<ShardContext>,
         sink: &mut S,
     ) {
         sink.on_control(now, &action);
         match action {
             ControlAction::ScaleUp { spec, placement } => match cluster.deploy(spec, placement) {
                 Ok(handle) => {
-                    let deployment = *cluster.deployment(handle).expect("just deployed"); // simlint::allow(P1, reason = "deployment recorded by the deploy call one line up")
-                    let replica = cache.replica_sim(cluster, &deployment, now);
-                    let slot = replicas.len();
-                    dispatch_index.insert(slot, replica.model, replica.handle.node, replica.handle);
-                    replicas.push(replica);
-                    state.control.scale_ups += 1;
-                    state.live_replicas += 1;
-                    state.peak_replicas = state.peak_replicas.max(state.live_replicas);
+                    self.add_replica(cluster, handle, now);
+                    self.state.control.scale_ups += 1;
                 }
-                Err(_) => state.control.scale_up_rejected += 1,
+                Err(_) => self.state.control.scale_up_rejected += 1,
             },
             ControlAction::ScaleDown { handle } => {
-                let Some(index) = dispatch_index.slot_of(handle) else {
+                let Some(index) = self.dispatch_index.slot_of(handle) else {
                     return; // stale handle (already moved or released)
                 };
-                if replicas[index].draining {
+                let replica = &mut self.replicas[index];
+                if replica.draining {
                     return;
                 }
-                replicas[index].draining = true;
+                replica.draining = true;
                 // A scale-down trumps a live migration in flight: the vNPU is
                 // being released, so streaming its state anywhere is wasted
                 // work. The orphaned copy-round event is ignored by its
                 // staleness guard.
-                replicas[index].precopy = None;
-                dispatch_index.begin_drain(index, replicas[index].model, handle.node);
-                state.control.scale_downs += 1;
+                replica.precopy = None;
+                self.dispatch_index
+                    .begin_drain(index, replica.model, handle.node);
+                self.state.control.scale_downs += 1;
                 // A held partial batch flushes immediately: a draining
                 // replica never waits for a batch that cannot form.
-                Self::start_next(&mut replicas[index], now, events, index, state, sink);
-                Self::retire_if_drained(cluster, &mut replicas[index], dispatch_index, now, state);
+                self.start_next(index, now, sink);
+                self.retire_if_drained(cluster, index, now);
             }
             ControlAction::Migrate { handle, to, mode } => {
-                state.control.migrations_requested += 1;
-                let Some(index) = dispatch_index.slot_of(handle) else {
-                    return;
-                };
-                // Cross-partition destinations demote pre-copy to a cold
-                // drain-and-move, exactly like the scheduled-migration path.
-                let export = shard.is_some() && cluster.node(to).is_none();
-                match mode {
-                    MigrationMode::Cold => Self::request_migration(
-                        cluster,
-                        replicas,
-                        dispatch_index,
-                        index,
-                        to,
-                        now,
-                        cost_model,
-                        records,
-                        events,
-                        links,
-                        state,
-                        shard,
-                        sink,
-                    ),
-                    MigrationMode::PreCopy if export => Self::request_migration(
-                        cluster,
-                        replicas,
-                        dispatch_index,
-                        index,
-                        to,
-                        now,
-                        cost_model,
-                        records,
-                        events,
-                        links,
-                        state,
-                        shard,
-                        sink,
-                    ),
-                    MigrationMode::PreCopy => Self::begin_precopy(
-                        cluster, replicas, index, to, now, cost_model, events, links, state, sink,
-                    ),
+                self.state.control.migrations_requested += 1;
+                if let Some(index) = self.dispatch_index.slot_of(handle) {
+                    self.migrate(cluster, index, to, mode, now, sink);
                 }
             }
         }
     }
 
-    /// Triggers a cold migration of `replicas[index]` to `to`: a busy replica
-    /// drains its in-flight batch first, an idle one migrates immediately.
-    #[allow(clippy::too_many_arguments)]
-    fn request_migration<S: ObsSink + ?Sized>(
+    /// Starts migrating replica `slot` to `to` in `mode` — the one entry
+    /// point of scheduled and controller migrations alike.
+    ///
+    /// A pre-copy starts its copy rounds. A cold move drains the in-flight
+    /// batch first, or moves an idle replica immediately. Under the sharded
+    /// runner a destination owned by another partition demotes a pre-copy
+    /// to a cold drain-and-move: the copy loop needs destination state the
+    /// source partition cannot see.
+    fn migrate<S: ObsSink + ?Sized>(
+        &mut self,
         cluster: &mut NpuCluster,
-        replicas: &mut [ReplicaSim],
-        dispatch_index: &mut ReplicaIndex,
-        index: usize,
+        slot: usize,
         to: NodeId,
+        mode: MigrationMode,
         now: u64,
-        cost_model: &MigrationCostModel,
-        records: &mut Vec<MigrationRecord>,
-        events: &mut EventQueue,
-        links: &mut LinkSchedule,
-        state: &mut ServeState,
-        shard: &mut Option<ShardContext>,
         sink: &mut S,
     ) {
         // A draining replica is about to release its vNPU anyway: migrating
         // it would charge a pointless dark window to its queued requests. A
         // replica already migrating (either mode) finishes that move first.
-        if replicas[index].handle.node == to
-            || replicas[index].pending_migration.is_some()
-            || replicas[index].precopy.is_some()
-            || replicas[index].draining
-        {
-            return;
-        }
-        if replicas[index].in_service.is_some() {
-            // Drain first; the completion event finishes the job.
-            replicas[index].pending_migration = Some((to, now));
-        } else {
-            Self::execute_migration(
-                cluster,
-                &mut replicas[index],
-                dispatch_index,
-                now,
-                to,
-                0,
-                cost_model,
-                records,
-                events,
-                links,
-                index,
-                state,
-                shard,
-                sink,
-            );
-        }
-    }
-
-    /// Starts a live pre-copy migration of `replicas[index]` to `to`: round 0
-    /// streams the full resident state over the (possibly contended) link
-    /// while the replica keeps serving; the copy-round event continues the
-    /// loop.
-    #[allow(clippy::too_many_arguments)]
-    fn begin_precopy<S: ObsSink + ?Sized>(
-        cluster: &mut NpuCluster,
-        replicas: &mut [ReplicaSim],
-        index: usize,
-        to: NodeId,
-        now: u64,
-        cost_model: &MigrationCostModel,
-        events: &mut EventQueue,
-        links: &mut LinkSchedule,
-        state: &mut ServeState,
-        sink: &mut S,
-    ) {
-        let replica = &mut replicas[index];
+        let replica = &self.replicas[slot];
         if replica.handle.node == to
             || replica.pending_migration.is_some()
             || replica.precopy.is_some()
@@ -2572,35 +2412,77 @@ impl<'a> PartitionSim<'a> {
         {
             return;
         }
-        let state_bytes = cluster.resident_state_bytes(replica.handle);
-        if state_bytes.is_none() || cluster.node(to).is_none() {
+        let export = self.shard.is_some() && cluster.node(to).is_none();
+        if mode == MigrationMode::PreCopy && !export {
+            self.begin_precopy(cluster, slot, to, now, sink);
+        } else {
+            self.move_when_idle(cluster, slot, to, now, sink);
+        }
+    }
+
+    /// Moves replica `index` to `to` now if it is idle; a busy replica
+    /// drains its in-flight batch first and the completion event finishes
+    /// the job.
+    fn move_when_idle<S: ObsSink + ?Sized>(
+        &mut self,
+        cluster: &mut NpuCluster,
+        index: usize,
+        to: NodeId,
+        now: u64,
+        sink: &mut S,
+    ) {
+        let replica = &mut self.replicas[index];
+        if replica.in_service.is_some() {
+            replica.pending_migration = Some((to, now));
+        } else {
+            self.execute_migration(cluster, index, now, to, 0, sink);
+        }
+    }
+
+    /// Starts a live pre-copy migration of replica `index` to `to`: round 0
+    /// streams the full resident state over the (possibly contended) link
+    /// while the replica keeps serving; the copy-round event continues the
+    /// loop.
+    fn begin_precopy<S: ObsSink + ?Sized>(
+        &mut self,
+        cluster: &NpuCluster,
+        index: usize,
+        to: NodeId,
+        now: u64,
+        sink: &mut S,
+    ) {
+        let replica = &mut self.replicas[index];
+        let (Some(state_bytes), Some(_)) = (
+            cluster.resident_state_bytes(replica.handle),
+            cluster.node(to),
+        ) else {
             // Unknown destination or stale placement: refused, like the cold
             // path's migrate() error.
-            state.control.migrations_rejected += 1;
+            self.state.control.migrations_rejected += 1;
             sink.on_migration_rejected(now, index);
             return;
-        }
-        let state_bytes = state_bytes.expect("checked above"); // simlint::allow(P1, reason = "the None case returned above as a rejected migration")
+        };
         let source_npu = cluster
             .node(replica.handle.node)
             .expect("source node exists") // simlint::allow(P1, reason = "a migrating replica's source node holds its deployment")
             .npu_config();
-        let frequency = source_npu.frequency;
-        let precopy = &cost_model.precopy;
-        let dirty_bytes_per_request = precopy
+        let cost_model = &self.options.cost_model;
+        let dirty_bytes_per_request = cost_model
+            .precopy
             .dirty_rate
             .dirty_bytes_per_request(replica.model, source_npu);
-        let full_copy = chaos_transfer(
-            state,
+        let full_copy = self.state.link_cycles(
             replica.handle.node,
             to,
             now,
-            cost_model.transfer_cycles(state_bytes, frequency).get(),
+            cost_model
+                .transfer_cycles(state_bytes, source_npu.frequency)
+                .get(),
         );
-        let ends_at = links.reserve(replica.handle.node, to, now, full_copy);
+        let ends_at = self.links.reserve(replica.handle.node, to, now, full_copy);
         replica.precopy = Some(PreCopyFlight {
             to,
-            dirty: DirtySet::new(state_bytes, precopy.page_bytes),
+            dirty: DirtySet::new(state_bytes, cost_model.precopy.page_bytes),
             dirty_bytes_per_request,
             rounds: 1,
             last_round_bytes: state_bytes,
@@ -2609,7 +2491,7 @@ impl<'a> PartitionSim<'a> {
             round_ends_at: ends_at,
             converged: false,
         });
-        events.push(ends_at, EV_COPY_ROUND, index);
+        self.events.push(ends_at, EV_COPY_ROUND, index);
         sink.on_copy_round(now, ends_at, replica.handle.node, to, index, 0, state_bytes);
     }
 
@@ -2618,22 +2500,14 @@ impl<'a> PartitionSim<'a> {
     /// threshold, or the loop stalled — round cap hit, or the dirty set no
     /// longer shrinking because serving re-dirties faster than the link
     /// drains).
-    #[allow(clippy::too_many_arguments)]
     fn copy_round<S: ObsSink + ?Sized>(
+        &mut self,
         cluster: &mut NpuCluster,
-        replicas: &mut [ReplicaSim],
-        dispatch_index: &mut ReplicaIndex,
         index: usize,
         now: u64,
-        cost_model: &MigrationCostModel,
-        records: &mut Vec<MigrationRecord>,
-        events: &mut EventQueue,
-        links: &mut LinkSchedule,
-        state: &mut ServeState,
-        shard: &mut Option<ShardContext>,
         sink: &mut S,
     ) {
-        let replica = &mut replicas[index];
+        let replica = &mut self.replicas[index];
         // Staleness guards: the migration was cancelled (drain won), or this
         // is not the round we scheduled.
         let Some(precopy) = &mut replica.precopy else {
@@ -2642,6 +2516,7 @@ impl<'a> PartitionSim<'a> {
         if precopy.round_ends_at != now || replica.retired || replica.draining {
             return;
         }
+        let cost_model = &self.options.cost_model;
         let config = &cost_model.precopy;
         let dirty_bytes = precopy.dirty.dirty_bytes();
         let threshold = config.stop_copy_bytes(precopy.dirty.capacity_bytes());
@@ -2652,27 +2527,8 @@ impl<'a> PartitionSim<'a> {
             // Stop-and-copy: freeze dispatch; whatever the in-flight batch
             // still dirties joins the residual moved in the dark window.
             precopy.converged = converged;
-            if replica.in_service.is_some() {
-                replica.pending_migration = Some((precopy.to, now));
-            } else {
-                let to = precopy.to;
-                Self::execute_migration(
-                    cluster,
-                    replica,
-                    dispatch_index,
-                    now,
-                    to,
-                    0,
-                    cost_model,
-                    records,
-                    events,
-                    links,
-                    index,
-                    state,
-                    shard,
-                    sink,
-                );
-            }
+            let to = precopy.to;
+            self.move_when_idle(cluster, index, to, now, sink);
             return;
         }
         // Another round: stream the pages dirtied during the one that just
@@ -2683,20 +2539,21 @@ impl<'a> PartitionSim<'a> {
             .expect("source node exists") // simlint::allow(P1, reason = "a migrating replica's source node holds its deployment")
             .npu_config()
             .frequency;
-        let cycles = chaos_transfer(
-            state,
+        let cycles = self.state.link_cycles(
             replica.handle.node,
             precopy.to,
             now,
             cost_model.transfer_cycles(round, frequency).get(),
         );
-        let ends_at = links.reserve(replica.handle.node, precopy.to, now, cycles);
+        let ends_at = self
+            .links
+            .reserve(replica.handle.node, precopy.to, now, cycles);
         precopy.rounds += 1;
         precopy.last_round_bytes = round;
         precopy.round_bytes.push(round);
         precopy.precopy_cycles += ends_at - now;
         precopy.round_ends_at = ends_at;
-        events.push(ends_at, EV_COPY_ROUND, index);
+        self.events.push(ends_at, EV_COPY_ROUND, index);
         sink.on_copy_round(
             now,
             ends_at,
@@ -2706,151 +2563,6 @@ impl<'a> PartitionSim<'a> {
             precopy.rounds - 1,
             round,
         );
-    }
-
-    /// Releases a fully drained replica's vNPU back to the cluster.
-    fn retire_if_drained(
-        cluster: &mut NpuCluster,
-        replica: &mut ReplicaSim,
-        dispatch_index: &mut ReplicaIndex,
-        now: u64,
-        state: &mut ServeState,
-    ) {
-        if !replica.draining
-            || replica.retired
-            || replica.in_service.is_some()
-            || !replica.queue.is_empty()
-            || replica.pending_migration.is_some()
-        {
-            return;
-        }
-        let released = cluster.undeploy(replica.handle).is_ok();
-        debug_assert!(released, "a live drained replica must release cleanly");
-        replica.retired = true;
-        replica.batch_timeout_at = None;
-        dispatch_index.retire(replica.handle);
-        state.control.released += 1;
-        state.live_replicas -= 1;
-        state.replica_cycles += now.saturating_sub(replica.activated_at);
-    }
-
-    /// Starts the next service pass if the replica is idle and available:
-    /// drops expired requests (when enabled), then collects up to
-    /// `max_batch` queued requests into one batch — unless a batch-formation
-    /// window is configured and still open, in which case the queue is held
-    /// (bounded by `max_batch_wait`) to let the batch fill.
-    fn start_next<S: ObsSink + ?Sized>(
-        replica: &mut ReplicaSim,
-        now: u64,
-        events: &mut EventQueue,
-        index: usize,
-        state: &mut ServeState,
-        sink: &mut S,
-    ) {
-        if replica.retired
-            || replica.fenced
-            || replica.in_service.is_some()
-            || now < replica.available_at
-        {
-            return;
-        }
-        // Defense in depth for chaos runs: no batch ever starts on a board
-        // that is down right now (the fenced flag and the hang's
-        // `available_at` push normally make this unreachable).
-        if let Some(chaos) = &state.chaos {
-            if chaos.board_down(replica.handle.node, now) {
-                return;
-            }
-        }
-        if state.drop_expired {
-            let deadline = &mut state.deadline;
-            let sampling = state.sampling;
-            let windows = &mut state.windows;
-            let slo = &mut state.slo;
-            let node = replica.handle.node;
-            replica.queue.retain(|queued| match queued.deadline {
-                Some(d) if d < now => {
-                    deadline.record_dropped();
-                    if sampling {
-                        windows
-                            .entry(queued.model)
-                            .or_default()
-                            .metrics
-                            .record_dropped();
-                    }
-                    // An expiry is an unmet request: it burns the error
-                    // budget of every covering SLO.
-                    if let Some(engine) = slo.as_mut() {
-                        engine.observe_expired(now, queued.model, queued.priority);
-                    }
-                    sink.on_expire(
-                        now,
-                        queued.sequence,
-                        queued.model,
-                        queued.arrived,
-                        node,
-                        index,
-                    );
-                    false
-                }
-                _ => true,
-            });
-        }
-        if replica.queue.is_empty() {
-            return;
-        }
-        // Hold a sub-max_batch queue while the batch-formation window is
-        // open; draining replicas flush immediately (their batch can never
-        // fill again).
-        if replica.queue.len() < state.max_batch && !replica.draining {
-            if let Some(wait) = state.max_batch_wait {
-                let oldest = replica.queue.oldest_arrival().expect("non-empty queue"); // simlint::allow(P1, reason = "a migrating replica's source node holds its deployment")
-                let due = oldest.saturating_add(wait);
-                if now < due {
-                    if replica.batch_timeout_at.is_none() {
-                        replica.batch_timeout_at = Some(due);
-                        events.push(due, EV_BATCH_TIMEOUT, index);
-                    }
-                    return;
-                }
-            }
-        }
-        replica.batch_timeout_at = None;
-        let size = replica.queue.len().min(state.max_batch);
-        let mut batch = state.batch_pool.pop().unwrap_or_default();
-        replica.queue.drain_into(size, &mut batch);
-        let base = replica.batch_cycles[size - 1];
-        let factor = match &mut state.rng {
-            Some(rng) => lognormal_factor(rng, replica.cv),
-            None => 1.0,
-        };
-        let mut service = ((base as f64 * factor) as u64).max(1);
-        // A straggler window inflates every batch *started* on the board.
-        if let Some(chaos) = &state.chaos {
-            let straggle = chaos.service_factor(replica.handle.node, now);
-            if straggle > 1.0 {
-                service = ((service as f64 * straggle) as u64).max(service);
-            }
-        }
-        let finish = now + service;
-        // Batch-member iteration is extra work the disabled path must never
-        // pay; an active sink sees each member's queue span, then the batch.
-        if sink.active() {
-            for request in &batch {
-                sink.on_service_request(
-                    now,
-                    request.sequence,
-                    request.model,
-                    request.arrived,
-                    replica.handle.node,
-                    index,
-                );
-            }
-            sink.on_service_batch(now, finish, replica.model, replica.handle.node, index, size);
-        }
-        replica.in_service = Some((batch, now, finish));
-        state.batches += 1;
-        events.push(finish, EV_COMPLETION, index);
     }
 
     /// Runs the stop-and-copy phases of a migration: snapshot + transfer +
@@ -2863,145 +2575,101 @@ impl<'a> PartitionSim<'a> {
     /// Under the sharded runner, a destination owned by another partition is
     /// intercepted before the local `migrate` call: the replica is exported
     /// into a [`MigrationEnvelope`] for barrier delivery instead.
-    #[allow(clippy::too_many_arguments)]
     fn execute_migration<S: ObsSink + ?Sized>(
+        &mut self,
         cluster: &mut NpuCluster,
-        replica: &mut ReplicaSim,
-        dispatch_index: &mut ReplicaIndex,
+        index: usize,
         now: u64,
         to: NodeId,
         drain_cycles: u64,
-        cost_model: &MigrationCostModel,
-        records: &mut Vec<MigrationRecord>,
-        events: &mut EventQueue,
-        links: &mut LinkSchedule,
-        index: usize,
-        state: &mut ServeState,
-        shard: &mut Option<ShardContext>,
         sink: &mut S,
     ) {
-        if let Some(context) = shard.as_mut() {
-            if cluster.node(to).is_none() && context.owners.contains_key(&to) {
-                Self::export_replica(
-                    cluster,
-                    replica,
-                    dispatch_index,
-                    now,
-                    to,
-                    drain_cycles,
-                    cost_model,
-                    links,
-                    index,
-                    state,
-                    context,
-                );
-                return;
-            }
+        let remote = self
+            .shard
+            .as_ref()
+            .is_some_and(|context| cluster.node(to).is_none() && context.owners.contains_key(&to));
+        if remote {
+            self.export_replica(cluster, index, now, to, drain_cycles);
+            return;
         }
+        let replica = &mut self.replicas[index];
+        let cost_model = &self.options.cost_model;
         let source_frequency = cluster
             .node(replica.handle.node)
             .expect("source node exists") // simlint::allow(P1, reason = "a migrating replica's source node holds its deployment")
             .npu_config()
             .frequency;
-        match cluster.migrate(replica.handle, to, cost_model, Some(drain_cycles)) {
-            Ok(outcome) => {
-                let mut record = outcome.record;
-                if let Some(precopy) = replica.precopy.take() {
-                    // Live switch-over: the dark window moves the residual
-                    // dirty pages plus the register/queue context — not the
-                    // full state the cold-priced record assumed — and waits
-                    // its turn on the contended link.
-                    let residual = precopy.dirty.dirty_bytes() + cost_model.context_bytes;
-                    let cycles = chaos_transfer(
-                        state,
-                        record.from,
-                        record.to,
-                        now,
-                        cost_model.transfer_cycles(residual, source_frequency).get(),
-                    );
-                    record.mode = MigrationMode::PreCopy;
-                    record.transfer_cycles =
-                        links.reserve(record.from, record.to, now, cycles) - now;
-                    record.precopy_rounds = precopy.rounds;
-                    record.precopy_bytes = precopy.round_bytes.iter().sum();
-                    record.round_bytes = precopy.round_bytes;
-                    record.precopy_cycles = precopy.precopy_cycles;
-                    record.converged = precopy.converged;
-                } else {
-                    // Cold transfers occupy the same board-to-board link as
-                    // everything else: a transfer already in flight delays
-                    // this one (on an idle link the window is unchanged).
-                    let cycles =
-                        chaos_transfer(state, record.from, record.to, now, record.transfer_cycles);
-                    record.transfer_cycles =
-                        links.reserve(record.from, record.to, now, cycles) - now;
-                }
-                let post_drain = record.transfer_cycles + record.remap_cycles;
-                let old_handle = replica.handle;
-                replica.handle = VnpuHandle {
-                    node: record.to,
-                    vnpu: record.dest_vnpu,
-                };
-                replica.available_at = now + post_drain;
-                // A draining replica (scale-down raced with the migration)
-                // already left the routable sets; only its handle re-keys.
-                dispatch_index.relocate(
-                    old_handle,
-                    replica.handle,
-                    index,
-                    replica.model,
-                    !replica.draining,
-                );
-                sink.on_stop_copy(now, replica.available_at, index, &record);
-                records.push(record);
-                events.push(replica.available_at, EV_RESUME, index);
+        let Ok(outcome) = cluster.migrate(replica.handle, to, cost_model, Some(drain_cycles))
+        else {
+            // The destination refused (capacity raced away); the replica
+            // keeps serving from its source node, any pre-copy effort
+            // abandoned.
+            replica.precopy = None;
+            self.state.control.migrations_rejected += 1;
+            sink.on_migration_rejected(now, index);
+            self.start_next(index, now, sink);
+            return;
+        };
+        let mut record = outcome.record;
+        let cycles = match replica.precopy.take() {
+            Some(precopy) => {
+                // Live switch-over: the dark window moves the residual dirty
+                // pages plus the register/queue context — not the full state
+                // the cold-priced record assumed.
+                let residual = precopy.dirty.dirty_bytes() + cost_model.context_bytes;
+                record.mode = MigrationMode::PreCopy;
+                record.precopy_rounds = precopy.rounds;
+                record.precopy_bytes = precopy.round_bytes.iter().sum();
+                record.round_bytes = precopy.round_bytes;
+                record.precopy_cycles = precopy.precopy_cycles;
+                record.converged = precopy.converged;
+                cost_model.transfer_cycles(residual, source_frequency).get()
             }
-            Err(_) => {
-                // The destination refused (capacity raced away); the replica
-                // keeps serving from its source node, any pre-copy effort
-                // abandoned.
-                replica.precopy = None;
-                state.control.migrations_rejected += 1;
-                sink.on_migration_rejected(now, index);
-                Self::start_next(replica, now, events, index, state, sink);
-            }
-        }
+            None => record.transfer_cycles,
+        };
+        // Either way the transfer waits its turn on the contended
+        // board-to-board link (on an idle link the window is unchanged).
+        let cycles = self.state.link_cycles(record.from, record.to, now, cycles);
+        record.transfer_cycles = self.links.reserve(record.from, record.to, now, cycles) - now;
+        let old_handle = replica.handle;
+        replica.handle = VnpuHandle {
+            node: record.to,
+            vnpu: record.dest_vnpu,
+        };
+        replica.available_at = now + record.transfer_cycles + record.remap_cycles;
+        // A draining replica (scale-down raced with the migration) already
+        // left the routable sets; only its handle re-keys.
+        self.dispatch_index.relocate(
+            old_handle,
+            replica.handle,
+            index,
+            replica.model,
+            !replica.draining,
+        );
+        sink.on_stop_copy(now, replica.available_at, index, &record);
+        self.events.push(replica.available_at, EV_RESUME, index);
+        self.migration_records.push(record);
     }
 
-    /// Packs `replicas[index]` into a cross-partition [`MigrationEnvelope`]:
+    /// Packs replica `index` into a cross-partition [`MigrationEnvelope`]:
     /// the transfer is priced source-side (chaos windows and link contention
     /// included), the queue drained in pop order, the vNPU released — and the
-    /// envelope waits in `shard.exports` for barrier delivery to the owning
-    /// partition.
-    #[allow(clippy::too_many_arguments)]
+    /// envelope waits in the shard's exports for barrier delivery to the
+    /// owning partition.
     fn export_replica(
+        &mut self,
         cluster: &mut NpuCluster,
-        replica: &mut ReplicaSim,
-        dispatch_index: &mut ReplicaIndex,
+        index: usize,
         now: u64,
         to: NodeId,
         drain_cycles: u64,
-        cost_model: &MigrationCostModel,
-        links: &mut LinkSchedule,
-        index: usize,
-        state: &mut ServeState,
-        shard: &mut ShardContext,
     ) {
-        let handle = replica.handle;
+        let handle = self.replicas[index].handle;
         let Some(deployment) = cluster.deployment(handle).copied() else {
             // The deployment raced away (cannot happen for a live replica);
             // account it like any refused migration rather than panicking.
-            state.control.migrations_rejected += 1;
+            self.state.control.migrations_rejected += 1;
             return;
-        };
-        let spec = DeploySpec {
-            model: deployment.model,
-            mes: deployment.config.num_mes_per_core,
-            ves: deployment.config.num_ves_per_core,
-            sram_bytes: Some(deployment.config.sram_size_per_core),
-            hbm_bytes: Some(deployment.config.mem_size_per_core),
-            priority: deployment.priority,
-            mode: deployment.mode,
         };
         let state_bytes = cluster.resident_state_bytes(handle).unwrap_or(0);
         let frequency = cluster
@@ -3011,56 +2679,46 @@ impl<'a> PartitionSim<'a> {
             .frequency;
         // Cross-partition moves are always cold: the pre-copy loop needs
         // destination-side state the source partition cannot see.
+        let replica = &mut self.replicas[index];
         replica.precopy = None;
-        let cycles = chaos_transfer(
-            state,
+        let queue = replica.queue.take_all();
+        let cost_model = &self.options.cost_model;
+        let cycles = self.state.link_cycles(
             handle.node,
             to,
             now,
             cost_model.transfer_cycles(state_bytes, frequency).get(),
         );
-        let transfer_ends = links.reserve(handle.node, to, now, cycles);
-        let ready_at = transfer_ends + cost_model.remap_cycles;
-        let record = MigrationRecord {
-            source_vnpu: handle.vnpu,
-            // Placeholder: the destination assigns the real id at import.
-            dest_vnpu: handle.vnpu,
-            from: handle.node,
-            to,
-            mode: MigrationMode::Cold,
-            state_bytes,
-            drain_cycles,
-            transfer_cycles: transfer_ends - now,
-            remap_cycles: cost_model.remap_cycles,
-            precopy_rounds: 0,
-            round_bytes: Vec::new(),
-            precopy_bytes: 0,
-            precopy_cycles: 0,
-            converged: true,
-        };
-        let queued = replica.queue.len();
-        let mut queue: Vec<QueuedRequest> = Vec::with_capacity(queued);
-        replica.queue.drain_into(queued, &mut queue);
-        dispatch_index.evict(index, replica.model, handle.node, handle, !replica.draining);
-        replica.retired = true;
-        replica.batch_timeout_at = None;
-        replica.pending_migration = None;
-        state.replica_cycles += now.saturating_sub(replica.activated_at);
-        state.live_replicas -= 1;
-        let undeployed = cluster.undeploy(handle);
-        debug_assert!(
-            undeployed.is_ok(),
-            "an exporting replica's deployment must exist"
-        );
-        shard.exports.push(MigrationEnvelope {
+        let transfer_ends = self.links.reserve(handle.node, to, now, cycles);
+        let envelope = MigrationEnvelope {
             from_node: handle.node,
             to_node: to,
-            spec,
+            spec: deployment.spec(),
             queue,
-            ready_at,
-            record,
+            ready_at: transfer_ends + cost_model.remap_cycles,
+            record: MigrationRecord {
+                source_vnpu: handle.vnpu,
+                // Placeholder: the destination assigns the real id at import.
+                dest_vnpu: handle.vnpu,
+                from: handle.node,
+                to,
+                mode: MigrationMode::Cold,
+                state_bytes,
+                drain_cycles,
+                transfer_cycles: transfer_ends - now,
+                remap_cycles: cost_model.remap_cycles,
+                precopy_rounds: 0,
+                round_bytes: Vec::new(),
+                precopy_bytes: 0,
+                precopy_cycles: 0,
+                converged: true,
+            },
             bounced: false,
-        });
+        };
+        self.release_replica(cluster, index, now);
+        if let Some(shard) = &mut self.shard {
+            shard.exports.push(envelope);
+        }
     }
 
     /// Drains the envelopes exported since the last barrier (empty on the
@@ -3093,19 +2751,13 @@ impl<'a> PartitionSim<'a> {
             Ok(handle) => handle,
             Err(_) => return Err(Box::new(envelope)),
         };
-        let deployment = *cluster.deployment(handle).expect("just deployed"); // simlint::allow(P1, reason = "deployment recorded by the deploy_pinned call above")
-        let mut sim = self.cache.replica_sim(cluster, &deployment, barrier);
+        let slot = self.add_replica(cluster, handle, barrier);
         let resume_at = envelope.ready_at.max(barrier);
-        sim.available_at = resume_at;
+        let replica = &mut self.replicas[slot];
+        replica.available_at = resume_at;
         for request in envelope.queue {
-            sim.enqueue(request);
+            replica.enqueue(request);
         }
-        let slot = self.replicas.len();
-        self.dispatch_index
-            .insert(slot, sim.model, handle.node, handle);
-        self.replicas.push(sim);
-        self.state.live_replicas += 1;
-        self.state.peak_replicas = self.state.peak_replicas.max(self.state.live_replicas);
         self.events.push(resume_at, EV_RESUME, slot);
         if !envelope.bounced {
             let mut record = envelope.record;
@@ -3155,17 +2807,8 @@ impl<'a> PartitionSim<'a> {
         sink: &mut S,
     ) {
         sink.on_control(now, action);
-        let deployment = *cluster
-            .deployment(handle)
-            .expect("coordinator deployed this handle"); // simlint::allow(P1, reason = "the coordinator deployed this handle on this partition's cluster one barrier step earlier")
-        let replica = self.cache.replica_sim(cluster, &deployment, now);
-        let slot = self.replicas.len();
-        self.dispatch_index
-            .insert(slot, replica.model, handle.node, handle);
-        self.replicas.push(replica);
+        self.add_replica(cluster, handle, now);
         self.state.control.scale_ups += 1;
-        self.state.live_replicas += 1;
-        self.state.peak_replicas = self.state.peak_replicas.max(self.state.live_replicas);
     }
 
     /// Counts a fleet-wide scale-up the coordinator could not place anywhere.
@@ -3179,83 +2822,7 @@ impl<'a> PartitionSim<'a> {
         self.state.control.scale_up_rejected += 1;
     }
 
-    /// Applies a scale-down or migration action to the owning partition at a
-    /// barrier (scale-ups are placed fleet-wide by the coordinator instead).
-    pub(crate) fn apply_barrier_action<S: ObsSink + ?Sized>(
-        &mut self,
-        cluster: &mut NpuCluster,
-        action: ControlAction,
-        now: u64,
-        sink: &mut S,
-    ) {
-        Self::apply_action(
-            cluster,
-            &mut self.replicas,
-            &mut self.dispatch_index,
-            &mut self.cache,
-            action,
-            now,
-            &self.options.cost_model,
-            &mut self.migration_records,
-            &mut self.events,
-            &mut self.links,
-            &mut self.state,
-            &mut self.shard,
-            sink,
-        );
-    }
-
-    /// Runs the telemetry-tick side effects for one partition at a barrier:
-    /// failure detection and failover, frame sampling, and the fleet-counter
-    /// scan for an active sink. The coordinator merges the per-partition
-    /// frames and invokes the control plane fleet-wide, and owns
-    /// `ControlStats::samples` (one per barrier tick) — it is never bumped
-    /// here.
-    pub(crate) fn barrier_tick<S: ObsSink + ?Sized>(
-        &mut self,
-        cluster: &mut NpuCluster,
-        now: u64,
-        sink: &mut S,
-    ) {
-        Self::chaos_tick(
-            cluster,
-            &mut self.replicas,
-            &mut self.dispatch_index,
-            &mut self.cache,
-            &mut self.router,
-            &mut self.views,
-            now,
-            &self.options.cost_model,
-            self.options.failover_edf,
-            &mut self.events,
-            &mut self.links,
-            &mut self.state,
-            sink,
-        );
-        Self::sample_into(
-            &mut self.frame,
-            &mut self.stale_models,
-            &mut self.replicas,
-            now,
-            &mut self.state,
-        );
-        if sink.active() {
-            let mut counters = FleetCounters::default();
-            for replica in self.replicas.iter().filter(|r| r.live()) {
-                counters.queued += replica.queue.len() as u64;
-                counters.in_flight += replica.in_flight() as u64;
-                counters.live_replicas += 1;
-                if replica.precopy.is_some() || replica.pending_migration.is_some() {
-                    counters.migrations_in_flight += 1;
-                }
-                counters.resident_bytes +=
-                    cluster.resident_state_bytes(replica.handle).unwrap_or(0);
-            }
-            sink.on_tick(now, &self.frame, &counters);
-        }
-    }
-
-    /// The frame produced by the last [`barrier_tick`](Self::barrier_tick).
+    /// The frame produced by the last [`tick`](Self::tick).
     pub(crate) fn frame(&self) -> &TelemetryFrame {
         &self.frame
     }
@@ -3271,16 +2838,11 @@ impl<'a> PartitionSim<'a> {
     /// events, live queued/in-service work, or an export awaiting barrier
     /// delivery.
     pub(crate) fn busy(&self) -> bool {
-        Self::work_left(
-            self.next_arrival,
-            self.arrivals,
-            &self.replicas,
-            &self.events,
-            self.recovery_armed,
-        ) || self
-            .shard
-            .as_ref()
-            .is_some_and(|shard| !shard.exports.is_empty())
+        self.work_left()
+            || self
+                .shard
+                .as_ref()
+                .is_some_and(|shard| !shard.exports.is_empty())
     }
 
     /// Whether a cross-partition transfer is pending or imminent: an export

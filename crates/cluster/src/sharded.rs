@@ -434,7 +434,7 @@ fn drive<S: ObsSink + Send + Default>(
                     next_tick = Some(now + width);
                 }
                 for index in 0..partitions {
-                    sims[index].barrier_tick(&mut clusters[index], now, &mut sinks[index]);
+                    sims[index].tick(&mut clusters[index], now, &mut sinks[index]);
                 }
                 sims[0].count_sample();
                 let frame = merge_frames(&sims, now);
@@ -480,12 +480,7 @@ fn drive<S: ObsSink + Send + Default>(
                         ControlAction::ScaleUp { .. } => unreachable!("partitioned above"),
                     };
                     let owner = owners.get(&owner).copied().unwrap_or(0);
-                    sims[owner].apply_barrier_action(
-                        &mut clusters[owner],
-                        action,
-                        now,
-                        &mut sinks[owner],
-                    );
+                    sims[owner].apply_action(&mut clusters[owner], action, now, &mut sinks[owner]);
                 }
             }
 
@@ -583,10 +578,7 @@ fn merge_frames(sims: &[PartitionSim], now: u64) -> TelemetryFrame {
             entry.arrivals += sample.arrivals;
             entry.rejected += sample.rejected;
             entry.latency = merge_latency(&entry.latency, &sample.latency);
-            entry.deadline.with_deadline += sample.deadline.with_deadline;
-            entry.deadline.met += sample.deadline.met;
-            entry.deadline.missed += sample.deadline.missed;
-            entry.deadline.dropped += sample.deadline.dropped;
+            entry.deadline.merge(&sample.deadline);
         }
     }
     frame

@@ -214,6 +214,30 @@ pub struct ControlStats {
     pub migrations_rejected: usize,
 }
 
+impl ControlStats {
+    /// Adds `other`'s counters into these (the sharded runner folds the
+    /// partitions' control activity this way). Exhaustive on purpose: a new
+    /// counter fails to compile here until it is merged.
+    pub(crate) fn merge(&mut self, other: &ControlStats) {
+        let ControlStats {
+            samples,
+            scale_ups,
+            scale_up_rejected,
+            scale_downs,
+            released,
+            migrations_requested,
+            migrations_rejected,
+        } = *other;
+        self.samples += samples;
+        self.scale_ups += scale_ups;
+        self.scale_up_rejected += scale_up_rejected;
+        self.scale_downs += scale_downs;
+        self.released += released;
+        self.migrations_requested += migrations_requested;
+        self.migrations_rejected += migrations_rejected;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -421,6 +421,22 @@ impl DeadlineStats {
         self.dropped += 1;
     }
 
+    /// Adds `other`'s tallies into these, as if both request streams had
+    /// been recorded here. Exhaustive on purpose: a new tally fails to
+    /// compile here until it is merged.
+    pub fn merge(&mut self, other: &DeadlineStats) {
+        let DeadlineStats {
+            with_deadline,
+            met,
+            missed,
+            dropped,
+        } = *other;
+        self.with_deadline += with_deadline;
+        self.met += met;
+        self.missed += missed;
+        self.dropped += dropped;
+    }
+
     /// Requests that failed their deadline, served late or dropped.
     pub fn failed(&self) -> usize {
         self.missed + self.dropped

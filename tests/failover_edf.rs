@@ -9,12 +9,17 @@
 //!
 //! The regression scenario below constructs a board whose queue mixes loose
 //! early-sequence requests with tight late-sequence ones, crashes it, and
-//! checks that EDF ordering strictly cuts the orphan deadline misses.
+//! checks that EDF ordering strictly cuts the orphan deadline misses. A
+//! second scenario checks that failover re-dispatch honours
+//! [`ServingOptions::with_migration_aware_dispatch`] like arrival dispatch
+//! does.
 
 use cluster::{
     AdmissionControl, ClusterServingSim, DeploySpec, DispatchPolicy, FaultKind, FaultSchedule,
     NodeId, NpuCluster, RecoveryPolicy, ServingOptions, ServingReport,
 };
+use std::collections::BTreeMap;
+
 use npu_sim::{Cycles, NpuConfig};
 use workloads::{ClusterTrace, ModelId, PriorityClass, RequestArrival};
 
@@ -119,5 +124,101 @@ fn edf_failover_is_inert_without_faults() {
         run(false),
         run(true),
         "without faults the re-dispatch order is never consulted"
+    );
+}
+
+/// Records where each request was first dispatched and where it entered
+/// service.
+#[derive(Default)]
+struct Placements {
+    dispatched: BTreeMap<u64, usize>,
+    served: Vec<(u64, usize)>,
+}
+
+impl cluster::ObsSink for Placements {
+    fn active(&self) -> bool {
+        true
+    }
+
+    fn on_dispatch(
+        &mut self,
+        _now: u64,
+        sequence: u64,
+        _model: ModelId,
+        _node: NodeId,
+        slot: usize,
+    ) {
+        self.dispatched.insert(sequence, slot);
+    }
+
+    fn on_service_request(
+        &mut self,
+        _start: u64,
+        sequence: u64,
+        _model: ModelId,
+        _arrived: u64,
+        _node: NodeId,
+        slot: usize,
+    ) {
+        self.served.push((sequence, slot));
+    }
+}
+
+/// Regression: failover re-dispatch built its candidate views without the
+/// live-migration avoidance that arrival dispatch applies, so with
+/// migration-aware dispatch on, the orphans of a crashed board landed on
+/// the replica whose stop-and-copy was imminent — the one replica arrivals
+/// were being steered away from.
+#[test]
+fn failover_redispatch_avoids_a_replica_mid_precopy() {
+    let npu = NpuConfig::single_core();
+    let service = cluster::estimated_service_cycles(ModelId::Mnist, 2, 2, &npu);
+    // Slot 0 live-migrates to the spare board 3 for the whole run (its
+    // full-state round alone outlasts the trace), slot 1's board crashes,
+    // slot 2 is the only clean survivor.
+    let mut fleet = NpuCluster::homogeneous(4, &npu);
+    let handles: Vec<_> = (0..3)
+        .map(|node| {
+            fleet
+                .deploy_pinned(DeploySpec::replica(ModelId::Mnist, 2, 2), NodeId(node))
+                .expect("capacity for the replica")
+        })
+        .collect();
+    let trace = ClusterTrace::from_arrivals(
+        (0..120u64)
+            .map(|i| RequestArrival::new(Cycles(i * service / 2), ModelId::Mnist))
+            .collect(),
+    );
+    let options = ServingOptions::new(DispatchPolicy::LeastLoaded)
+        .with_admission(AdmissionControl {
+            max_queue_depth: 64,
+        })
+        .with_migration_aware_dispatch()
+        .with_live_migration(Cycles(service), handles[0], NodeId(3))
+        .with_telemetry(service * 2)
+        .with_faults(
+            FaultSchedule::new()
+                .with_fault(service * 20, FaultKind::BoardCrash { node: NodeId(1) }),
+        )
+        .with_recovery(RecoveryPolicy::new(2));
+    let mut placements = Placements::default();
+    let report = ClusterServingSim::new(options).run_observed(&mut fleet, &trace, &mut placements);
+
+    assert_eq!(report.availability.failovers, 1);
+    assert!(
+        report.availability.redispatched > 0,
+        "the crash must orphan and re-dispatch queued requests"
+    );
+    assert_eq!(report.stats.completed, report.stats.admitted);
+    let orphans_on_migrating: Vec<u64> = placements
+        .served
+        .iter()
+        .filter(|(sequence, slot)| *slot == 0 && placements.dispatched.get(sequence) == Some(&1))
+        .map(|(sequence, _)| *sequence)
+        .collect();
+    assert!(
+        orphans_on_migrating.is_empty(),
+        "orphans of the crashed board must avoid the replica mid pre-copy, \
+         but {orphans_on_migrating:?} were served there"
     );
 }
