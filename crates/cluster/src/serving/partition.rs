@@ -399,9 +399,8 @@ impl<'a> PartitionSim<'a> {
             views: Vec::new(),
             shard,
         };
-        let initial: Vec<VnpuHandle> = cluster.deployments().map(|d| d.handle).collect();
-        for handle in initial {
-            partition.add_replica(cluster, handle, 0);
+        for deployment in cluster.deployments() {
+            partition.add_replica(cluster, deployment.handle, 0);
         }
         partition
     }

@@ -427,7 +427,7 @@ fn run_fleet_parallel(threads: usize) -> ServingReport {
 /// ticks over the merged frame; its scale-ups are placed against fleet-wide
 /// capacity and adopted by the owning partition, its scale-downs are routed
 /// to the owner, and a replica ceiling above the fleet's capacity makes the
-/// peak refuse scale-ups. Odd thread counts run unobserved, even ones
+/// peak refuse scale-ups. One thread runs unobserved, more threads run
 /// through the observed entry point with a trace recorder per partition, so
 /// the digest also locks that observation never perturbs a sharded run. A
 /// defragmenter adds barrier-routed consolidation migrations.
@@ -476,7 +476,7 @@ fn run_fleet_parallel_control(threads: usize) -> ServingReport {
             ));
     let sim = ClusterServingSim::new(options);
     let shard = cluster::ShardOptions::new(2).with_threads(threads);
-    if threads % 2 == 0 {
+    if threads > 1 {
         let mut sinks: Vec<cluster::TraceRecorder> = Vec::new();
         let report = sim.run_sharded_observed_with_controller(
             &mut fleet, &trace, shard, &mut pilot, &mut sinks,
