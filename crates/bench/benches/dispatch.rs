@@ -9,7 +9,10 @@
 //! * the telemetry sampling path is allocation-free at steady state: a run
 //!   with dense sampling must not allocate once per tick on top of the
 //!   identical telemetry-off run (the regression `telemetry::sample()` used
-//!   to have — fresh frame vectors and model maps every tick);
+//!   to have — fresh frame vectors and model maps every tick), and adding
+//!   SLO burn-rate alerting on top must not allocate once per alert tick
+//!   either (the alert-edge scratch is reused, ring cells are bumped in
+//!   place);
 //! * the observability instrumentation is free when disabled: a run through
 //!   the `&mut dyn ObsSink` entry point with a [`NoopSink`] must allocate
 //!   **exactly** as many times as the plain `run` path — the hooks left in
@@ -22,9 +25,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use cluster::{
     estimated_batch_service_cycles, ClusterServingSim, DeploySpec, DispatchPolicy, NoopSink,
-    NpuCluster, PlacementPolicy, ServingOptions,
+    NpuCluster, PlacementPolicy, ServingOptions, SloConfig, SloSpec,
 };
-use npu_sim::NpuConfig;
+use npu_sim::{Cycles, NpuConfig};
 use workloads::{ClusterTrace, ModelId};
 
 /// The system allocator behind a heap-allocation counter, so the bench can
@@ -101,19 +104,27 @@ fn verify_telemetry_sampling_is_allocation_free() {
     let npu = NpuConfig::tpu_v4_like();
     let interval =
         (estimated_batch_service_cycles(ModelId::Mnist, MAX_BATCH, 2, 2, &npu) * 4).max(1);
-    let run = |telemetry: bool| {
+    let run = |telemetry: bool, slo: bool| {
         let mut fleet = fleet();
         let mut options = ServingOptions::new(DispatchPolicy::LeastLoaded).with_batching(MAX_BATCH);
         if telemetry {
             options = options.with_telemetry(interval);
+        }
+        if slo {
+            let config = models()
+                .into_iter()
+                .fold(SloConfig::new(interval), |config, model| {
+                    config.with_spec(SloSpec::new(model, Cycles(interval), 0.99))
+                });
+            options = options.with_slo(config.with_default_policies());
         }
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         let report = ClusterServingSim::new(options).run(&mut fleet, &trace);
         let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
         (allocations, report)
     };
-    let (base_allocations, base) = run(false);
-    let (sampled_allocations, sampled) = run(true);
+    let (base_allocations, base) = run(false, false);
+    let (sampled_allocations, sampled) = run(true, false);
     let ticks = sampled.control.samples as u64;
     assert!(ticks > 100, "the scenario must sample densely ({ticks})");
     assert_eq!(base.stats.completed, sampled.stats.completed);
@@ -128,6 +139,28 @@ fn verify_telemetry_sampling_is_allocation_free() {
     );
     println!(
         "telemetry-alloc: {delta} extra allocations over {ticks} ticks (allocation-free steady state)"
+    );
+
+    // The SLO engine rides every completion and evaluates every `interval`
+    // cycles; on top of the telemetry run it may only add its fixed rings
+    // and the amortized growth of the alert log.
+    let (slo_allocations, slo) = run(true, true);
+    let alert_ticks = slo.makespan.get() / interval;
+    assert!(
+        alert_ticks > 100,
+        "the scenario must evaluate densely ({alert_ticks})"
+    );
+    assert_eq!(sampled.stats.completed, slo.stats.completed);
+    let slo_delta = slo_allocations.saturating_sub(sampled_allocations);
+    assert!(
+        slo_delta < alert_ticks / 2,
+        "SLO alerting must not allocate per alert tick: \
+         {slo_delta} extra allocations over {alert_ticks} alert ticks"
+    );
+    println!(
+        "slo-alloc: {slo_delta} extra allocations over {alert_ticks} alert ticks \
+         ({} alert edges; allocation-free steady state)",
+        slo.alerts.len()
     );
 }
 

@@ -15,13 +15,20 @@
 //! The run asserts the contract end to end: at least one policy detects the
 //! flash-crowd breach within one fast window of the crowd's arrival, the
 //! plain diurnal day fires nothing, and the whole pipeline is deterministic —
-//! the same seed reproduces the [`AlertLog`](cluster::AlertLog) transcript and the OpenMetrics
+//! the same seed reproduces the [`AlertLog`] transcript and the OpenMetrics
 //! export byte for byte, and the export passes the strict validator.
+//!
+//! Every scenario also runs sharded over two board-group partitions, where
+//! the engine evaluates at barriers over the partitions' merged windows: its
+//! alert log must be identical at one and two threads, and it too must
+//! detect the flash crowd within one fast window. The `p2-*` columns and
+//! the `p2` transcript lines print its edges next to the sequential ones.
 
 use cluster::{
-    estimated_service_cycles, export_timeseries_openmetrics, validate_openmetrics,
+    estimated_service_cycles, export_timeseries_openmetrics, validate_openmetrics, AlertLog,
     ClusterServingSim, DeploySpec, DispatchPolicy, NpuCluster, PlacementPolicy, ServingOptions,
-    ServingReport, SloConfig, SloSpec, StochasticService, TimeSeriesConfig, TimeSeriesRecorder,
+    ServingReport, ShardOptions, SloConfig, SloSpec, StochasticService, TimeSeriesConfig,
+    TimeSeriesRecorder,
 };
 use npu_sim::{Cycles, NpuConfig};
 use workloads::{BurstyTrace, ClusterTrace, DiurnalTrace, FlashCrowdTrace, ModelId};
@@ -120,6 +127,49 @@ fn run(npu: &NpuConfig, service: u64, trace: &ClusterTrace) -> (ServingReport, T
     (report, recorder)
 }
 
+/// Runs one scenario sharded over two partitions at one and at two worker
+/// threads, asserting the thread count leaves the alert log unchanged.
+fn run_sharded(npu: &NpuConfig, service: u64, scenario: &Scenario) -> AlertLog {
+    let logs: Vec<AlertLog> = [1, 2]
+        .into_iter()
+        .map(|threads| {
+            ClusterServingSim::new(options(service))
+                .run_sharded(
+                    &mut build_fleet(npu),
+                    &scenario.trace,
+                    ShardOptions::new(2).with_threads(threads),
+                )
+                .alerts
+        })
+        .collect();
+    assert_eq!(
+        logs[0].render_text(),
+        logs[1].render_text(),
+        "{}: the sharded alert log must not depend on the thread count",
+        scenario.name
+    );
+    logs.into_iter().next().expect("two runs")
+}
+
+/// Fire edges on a shape without a breach, or before the breach lands, and
+/// the detection latency of the first fire after it.
+fn score(alerts: &AlertLog, breach_at: Option<u64>) -> (usize, Option<u64>) {
+    let false_positives = alerts
+        .transitions()
+        .iter()
+        .filter(|alert| {
+            alert.kind == cluster::AlertKind::Fired
+                && breach_at.is_none_or(|at| alert.at.get() < at)
+        })
+        .count();
+    let detection = breach_at.and_then(|at| {
+        alerts
+            .first_fire_after(Cycles(at))
+            .map(|alert| alert.at.get() - at)
+    });
+    (false_positives, detection)
+}
+
 fn main() {
     let npu = NpuConfig::single_core();
     bench::print_simulator_config(&npu);
@@ -138,38 +188,42 @@ fn main() {
          objective {OBJECTIVE}, tick {TICK_SERVICES}x service)"
     );
     println!(
-        "{:<12} {:>9} {:>7} {:>9} {:>11} {:>13} {:>13}",
-        "scenario", "arrivals", "fired", "resolved", "false-pos", "detect-cycles", "detect-fastw"
+        "{:<12} {:>9} {:>7} {:>9} {:>11} {:>13} {:>13} {:>9} {:>12} {:>12} {:>16}",
+        "scenario",
+        "arrivals",
+        "fired",
+        "resolved",
+        "false-pos",
+        "detect-cycles",
+        "detect-fastw",
+        "p2-fired",
+        "p2-resolved",
+        "p2-false-pos",
+        "p2-detect-fastw"
     );
+    let fast_windows = |detection: Option<u64>| {
+        detection
+            .map(|d| format!("{:.2}", d as f64 / fast_window as f64))
+            .unwrap_or_else(|| "-".into())
+    };
 
     let mut flash_detected_within_fast_window = false;
+    let mut sharded_detected_within_fast_window = false;
     for scenario in scenarios(service) {
         let (report, recorder) = run(&npu, service, &scenario.trace);
         let alerts = &report.alerts;
-
-        // Alerts on a shape without a breach — or before the breach lands —
-        // are false positives.
-        let false_positives = alerts
-            .transitions()
-            .iter()
-            .filter(|alert| {
-                alert.kind == cluster::AlertKind::Fired
-                    && scenario.breach_at.is_none_or(|at| alert.at.get() < at)
-            })
-            .count();
-        let detection = scenario.breach_at.and_then(|at| {
-            alerts
-                .first_fire_after(Cycles(at))
-                .map(|alert| alert.at.get() - at)
-        });
-        if let Some(latency) = detection {
-            if latency <= fast_window {
-                flash_detected_within_fast_window = true;
-            }
+        let (false_positives, detection) = score(alerts, scenario.breach_at);
+        if detection.is_some_and(|latency| latency <= fast_window) {
+            flash_detected_within_fast_window = true;
+        }
+        let sharded = run_sharded(&npu, service, &scenario);
+        let (sharded_false_positives, sharded_detection) = score(&sharded, scenario.breach_at);
+        if sharded_detection.is_some_and(|latency| latency <= fast_window) {
+            sharded_detected_within_fast_window = true;
         }
 
         println!(
-            "{:<12} {:>9} {:>7} {:>9} {:>11} {:>13} {:>13}",
+            "{:<12} {:>9} {:>7} {:>9} {:>11} {:>13} {:>13} {:>9} {:>12} {:>12} {:>16}",
             scenario.name,
             report.stats.offered,
             alerts.fired(),
@@ -178,14 +232,26 @@ fn main() {
             detection
                 .map(|d| d.to_string())
                 .unwrap_or_else(|| "-".into()),
-            detection
-                .map(|d| format!("{:.2}", d as f64 / fast_window as f64))
-                .unwrap_or_else(|| "-".into()),
+            fast_windows(detection),
+            sharded.fired(),
+            sharded.resolved(),
+            sharded_false_positives,
+            fast_windows(sharded_detection),
         );
+        for (run, log) in [("sequential", alerts), ("p2", &sharded)] {
+            for edge in log.render_text().lines() {
+                println!("#   {run:<10} {edge}");
+            }
+        }
 
         assert_eq!(
             false_positives, 0,
             "{}: the burn-rate engine must not page a healthy fleet",
+            scenario.name
+        );
+        assert_eq!(
+            sharded_false_positives, 0,
+            "{}: sharded, the burn-rate engine must not page a healthy fleet",
             scenario.name
         );
         if scenario.breach_at.is_some() {
@@ -239,9 +305,13 @@ fn main() {
         flash_detected_within_fast_window,
         "at least one policy must detect the flash crowd within one fast window"
     );
+    assert!(
+        sharded_detected_within_fast_window,
+        "sharded over two partitions, the flash crowd must still be detected within one fast window"
+    );
     println!();
     println!(
-        "# flash crowd detected within one fast window ({fast_window} cycles); \
-         zero false positives on the plain diurnal day; reruns byte-identical"
+        "# flash crowd detected within one fast window ({fast_window} cycles), sequential and \
+         sharded; zero false positives on the plain diurnal day; reruns byte-identical"
     );
 }

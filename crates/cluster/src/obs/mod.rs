@@ -46,6 +46,7 @@ mod registry;
 mod slo;
 mod timeseries;
 mod trace;
+pub(crate) mod window;
 
 pub use openmetrics::{
     export_openmetrics, export_timeseries_openmetrics, validate_openmetrics, OpenMetricsSummary,

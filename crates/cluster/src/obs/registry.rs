@@ -13,6 +13,8 @@ use std::fmt::Write as _;
 
 use neu10::{LatencySummary, QuantileSketch};
 
+use crate::obs::window::Merge;
+
 /// The declared metric-name taxonomy: every name an [`ObsSink`] impl may
 /// emit, in name order.
 ///
@@ -161,20 +163,21 @@ impl MetricsRegistry {
         self.histograms.iter().map(|(name, sketch)| (*name, sketch))
     }
 
-    /// Folds `other` into `self`: counters add, gauges keep `other`'s value
-    /// where set (last-write-wins, matching [`set_gauge`](Self::set_gauge)),
-    /// histograms merge sketch-to-sketch. This is the combination step for
-    /// per-partition registries in a sharded event loop: merging the shards
-    /// yields the same exact totals a single fleet-wide registry would have
-    /// accumulated.
+    /// Folds `other` into `self` under the window merge rule: counters
+    /// add, gauges add, histograms merge sketch-to-sketch. This is the
+    /// combination step for per-partition registries in a sharded event
+    /// loop: every gauge is a fleet count that each partition sets to its
+    /// own share at the same barrier ticks, so merging the shards yields the
+    /// fleet-wide totals and the same exact counters and sketches a single
+    /// registry would have accumulated.
     pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, value) in other.counters() {
-            self.add(name, value);
+        for (name, value) in &other.counters {
+            self.counters.entry(name).or_default().merge(value);
         }
-        for (name, value) in other.gauges() {
-            self.set_gauge(name, value);
+        for (name, value) in &other.gauges {
+            self.gauges.entry(name).or_default().merge(value);
         }
-        for (name, sketch) in other.histograms_iter() {
+        for (name, sketch) in &other.histograms {
             self.histograms.entry(name).or_default().merge(sketch);
         }
     }
@@ -283,7 +286,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.counter("serving.completed"), 7);
         assert_eq!(a.counter("serving.expired"), 1);
-        assert_eq!(a.gauge("fleet.queued"), Some(7.0), "gauges last-write-win");
+        assert_eq!(a.gauge("fleet.queued"), Some(8.0), "fleet gauges add");
         let sketch = a.histogram("serving.latency_cycles").unwrap();
         assert_eq!(sketch.count(), 2);
         assert_eq!(sketch.max(), 300);

@@ -23,8 +23,10 @@
 //! The [`SloEngine`] buckets good/bad counts into fixed-width cycle-aligned
 //! ticks held in a bounded ring (memory is O(specs × ring), independent of
 //! arrival count) and is evaluated at tick boundaries by the serving loop's
-//! `EV_ALERT` events. Every fire/resolve transition is recorded into the
-//! run's [`AlertLog`] and delivered through
+//! `EV_ALERT` events — or, in a sharded run, at the coordinator's alert
+//! barriers, once every partition's ring has merged into one engine. Every
+//! fire/resolve transition is recorded into the run's [`AlertLog`] and
+//! delivered through
 //! [`ObsSink::on_alert`](crate::obs::ObsSink::on_alert) and
 //! [`ControlPlane::on_alert`](crate::telemetry::ControlPlane::on_alert) —
 //! the hook the autopilot uses for alert-driven scaling. Everything is
@@ -35,6 +37,8 @@ use std::fmt::Write as _;
 
 use npu_sim::Cycles;
 use workloads::{ModelId, PriorityClass};
+
+use crate::obs::window::{Merge, Ring};
 
 /// How loudly a burn-rate breach should be surfaced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -362,20 +366,19 @@ fn finite(value: f64) -> f64 {
     }
 }
 
-/// One tick-wide good/bad bucket of one spec's ring.
-#[derive(Debug, Clone, Copy)]
-struct Bucket {
-    /// Tick index (`at / tick`); `u64::MAX` marks a never-written cell.
-    index: u64,
+/// The good/bad completion counts of one tick-wide window of one spec.
+#[derive(Debug, Clone, Copy, Default)]
+struct GoodBad {
     good: u64,
     bad: u64,
 }
 
-const EMPTY_BUCKET: Bucket = Bucket {
-    index: u64::MAX,
-    good: 0,
-    bad: 0,
-};
+impl Merge for GoodBad {
+    fn merge(&mut self, other: &Self) {
+        self.good += other.good;
+        self.bad += other.bad;
+    }
+}
 
 /// The burn-rate alert engine: per-spec bucket rings plus per-(spec, policy)
 /// active flags.
@@ -390,9 +393,9 @@ pub struct SloEngine {
     policies: Vec<BurnRatePolicy>,
     /// Window lengths in ticks, per policy: `(fast, slow)`.
     window_ticks: Vec<(u64, u64)>,
-    /// One bucket ring per spec, each `ring_len` cells.
-    rings: Vec<Vec<Bucket>>,
-    ring_len: u64,
+    /// One good/bad ring per spec, each as long as the longest slow window
+    /// plus the tick still filling.
+    rings: Vec<Ring<GoodBad>>,
     /// Active flags, indexed `spec * policies.len() + policy`.
     active: Vec<bool>,
     /// Whether resolve edges require the fast window to have seen traffic.
@@ -427,8 +430,7 @@ impl SloEngine {
             specs: config.specs.clone(),
             policies: config.policies.clone(),
             window_ticks,
-            rings: vec![vec![EMPTY_BUCKET; ring_len as usize]; config.specs.len()],
-            ring_len,
+            rings: vec![Ring::new(ring_len as usize); config.specs.len()],
             active: vec![false; config.specs.len() * config.policies.len()],
             resolve_requires_evidence: config.resolve_requires_evidence,
             evaluations: 0,
@@ -459,23 +461,46 @@ impl SloEngine {
         priority: PriorityClass,
         latency: u64,
     ) {
-        let bucket = at / self.tick;
-        for (spec_index, spec) in self.specs.iter().enumerate() {
-            if spec.covers(model, priority) {
-                let good = latency <= spec.latency_target.get();
-                bump(&mut self.rings[spec_index], self.ring_len, bucket, good);
-            }
-        }
+        self.observe(at, model, priority, |spec| {
+            latency <= spec.latency_target.get()
+        });
     }
 
     /// Records one deadline-expired drop: *bad* for every covering spec (a
     /// request that never completed can meet no latency target).
     pub fn observe_expired(&mut self, at: u64, model: ModelId, priority: PriorityClass) {
-        let bucket = at / self.tick;
-        for (spec_index, spec) in self.specs.iter().enumerate() {
+        self.observe(at, model, priority, |_| false);
+    }
+
+    /// Counts one request of (`model`, `priority`) at `at` into the window
+    /// of every covering spec, as good where `good(spec)` holds.
+    fn observe(
+        &mut self,
+        at: u64,
+        model: ModelId,
+        priority: PriorityClass,
+        good: impl Fn(&SloSpec) -> bool,
+    ) {
+        let index = at / self.tick;
+        for (spec, ring) in self.specs.iter().zip(&mut self.rings) {
             if spec.covers(model, priority) {
-                bump(&mut self.rings[spec_index], self.ring_len, bucket, false);
+                let cell = ring.cell(index, &mut 0);
+                if good(spec) {
+                    cell.good += 1;
+                } else {
+                    cell.bad += 1;
+                }
             }
+        }
+    }
+
+    /// Moves this engine's history into `fleet`'s, merging window by window
+    /// exactly, and starts afresh: a sharded partition handing its
+    /// observations to the engine that evaluates for the whole fleet.
+    pub(crate) fn drain_into(&mut self, fleet: &mut SloEngine) {
+        for (ring, into) in self.rings.iter_mut().zip(&mut fleet.rings) {
+            into.merge(ring, &mut 0);
+            ring.clear();
         }
     }
 
@@ -490,9 +515,8 @@ impl SloEngine {
             let ring = &self.rings[spec_index];
             for (policy_index, policy) in self.policies.iter().enumerate() {
                 let (fast_ticks, slow_ticks) = self.window_ticks[policy_index];
-                let (burn_fast, fast_total) =
-                    burn_over(ring, self.ring_len, next_bucket, fast_ticks, spec);
-                let (burn_slow, _) = burn_over(ring, self.ring_len, next_bucket, slow_ticks, spec);
+                let (burn_fast, fast_total) = burn_over(ring, next_bucket, fast_ticks, spec);
+                let (burn_slow, _) = burn_over(ring, next_bucket, slow_ticks, spec);
                 let flag = &mut self.active[spec_index * self.policies.len() + policy_index];
                 let breached = burn_fast > policy.threshold && burn_slow > policy.threshold;
                 // With `resolve_requires_evidence`, resolving demands proof
@@ -525,46 +549,24 @@ impl SloEngine {
     }
 }
 
-/// Adds one observation to the bucket `index` of `ring`, evicting whatever
-/// older bucket occupied the slot.
-fn bump(ring: &mut [Bucket], ring_len: u64, index: u64, good: bool) {
-    let cell = &mut ring[(index % ring_len) as usize];
-    if cell.index != index {
-        *cell = Bucket {
-            index,
-            good: 0,
-            bad: 0,
-        };
-    }
-    if good {
-        cell.good += 1;
-    } else {
-        cell.bad += 1;
-    }
-}
-
 /// The burn rate of the `window_ticks` complete buckets ending just before
 /// `next_bucket`, plus the observation count it was computed over:
 /// `(bad_fraction / error_budget, total)`, `(0.0, 0)` when the window saw no
 /// traffic — the caller must treat an empty window as *absence of evidence*,
 /// not as a zero burn rate.
 fn burn_over(
-    ring: &[Bucket],
-    ring_len: u64,
+    ring: &Ring<GoodBad>,
     next_bucket: u64,
     window_ticks: u64,
     spec: &SloSpec,
 ) -> (f64, u64) {
-    let first = next_bucket.saturating_sub(window_ticks);
-    let mut good = 0u64;
-    let mut bad = 0u64;
-    for index in first..next_bucket {
-        let cell = &ring[(index % ring_len) as usize];
-        if cell.index == index {
-            good += cell.good;
-            bad += cell.bad;
+    let mut sum = GoodBad::default();
+    for index in next_bucket.saturating_sub(window_ticks)..next_bucket {
+        if let Some(cell) = ring.get(index) {
+            sum.merge(cell);
         }
     }
+    let (good, bad) = (sum.good, sum.bad);
     let total = good + bad;
     if total == 0 {
         return (0.0, 0);
@@ -617,6 +619,35 @@ mod tests {
             fired < 2,
             "fired only after tick {fired}, beyond the 2-tick fast window"
         );
+    }
+
+    #[test]
+    fn drained_partitions_evaluate_like_one_engine() {
+        let config = config(5.0);
+        let mut whole = SloEngine::new(&config);
+        let (mut fleet, mut other) = (SloEngine::new(&config), SloEngine::new(&config));
+        let mut edges = 0;
+        for tick_index in 0..16u64 {
+            let burning = tick_index % 8 < 4;
+            for request in 0..10u64 {
+                let latency = if burning && request < 8 { 10_000 } else { 100 };
+                let at = tick_index * TICK + request;
+                whole.observe_latency(at, ModelId::Mnist, PriorityClass::Standard, latency);
+                let part = if request % 3 == 0 {
+                    &mut other
+                } else {
+                    &mut fleet
+                };
+                part.observe_latency(at, ModelId::Mnist, PriorityClass::Standard, latency);
+            }
+            other.drain_into(&mut fleet);
+            let (mut expected, mut got) = (Vec::new(), Vec::new());
+            whole.evaluate((tick_index + 1) * TICK, &mut expected);
+            fleet.evaluate((tick_index + 1) * TICK, &mut got);
+            assert_eq!(got, expected, "tick {tick_index}");
+            edges += got.len();
+        }
+        assert!(edges >= 2, "the scenario fires and resolves");
     }
 
     #[test]
@@ -760,6 +791,10 @@ mod tests {
                 100,
             );
         }
-        assert_eq!(engine.rings[0].len(), 7, "6 slow ticks + the filling one");
+        assert_eq!(
+            engine.rings[0].windows().len(),
+            7,
+            "6 slow ticks + the filling one"
+        );
     }
 }

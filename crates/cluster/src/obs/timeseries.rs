@@ -29,6 +29,7 @@ use workloads::{ModelId, PriorityClass};
 use crate::fault::{FaultEvent, FaultKind};
 use crate::migration::{MigrationMode, MigrationRecord};
 use crate::obs::slo::{AlertKind, AlertTransition};
+use crate::obs::window::{Merge, Ring};
 use crate::obs::{FleetCounters, ObsSink, RejectReason};
 use crate::telemetry::{ControlAction, TelemetryFrame};
 use crate::NodeId;
@@ -125,55 +126,13 @@ pub struct TimeSeriesStats {
     pub windows_evicted: u64,
 }
 
-/// Sentinel for a ring cell no window has claimed yet.
-const EMPTY_WINDOW: u64 = u64::MAX;
-
-/// One bounded overwrite-oldest ring of per-window values.
-#[derive(Debug, Clone)]
-struct Ring<T> {
-    /// `(window index, value)` cells, slot = `window % len`.
-    cells: Vec<(u64, T)>,
-}
-
-impl<T: Default> Ring<T> {
-    fn new(len: usize) -> Self {
-        Ring {
-            cells: (0..len).map(|_| (EMPTY_WINDOW, T::default())).collect(),
-        }
-    }
-
-    /// The cell of `window`, evicting an older occupant; `evicted` counts
-    /// the displacement. The value of a reclaimed cell is reset by `reset`
-    /// (which may reuse its allocations).
-    fn cell(&mut self, window: u64, evicted: &mut u64, reset: impl Fn(&mut T)) -> &mut T {
-        let len = self.cells.len() as u64;
-        let slot = (window % len) as usize;
-        let (stored, value) = &mut self.cells[slot];
-        if *stored != window {
-            if *stored != EMPTY_WINDOW {
-                *evicted += 1;
-            }
-            *stored = window;
-            reset(value);
-        }
-        value
-    }
-
-    /// Live `(window, value)` pairs, oldest window first.
-    fn windows(&self) -> Vec<(u64, &T)> {
-        let mut live: Vec<(u64, &T)> = self
-            .cells
-            .iter()
-            .filter(|(window, _)| *window != EMPTY_WINDOW)
-            .map(|(window, value)| (*window, value))
-            .collect();
-        live.sort_by_key(|(window, _)| *window);
-        live
-    }
-}
-
 /// The key of one series: metric name plus labels.
 type SeriesKey = (&'static str, SeriesLabels);
+
+/// One kind of series (counters, gauges or summaries): a window ring per
+/// key.
+#[derive(Debug, Clone, Default)]
+struct Series<T>(BTreeMap<SeriesKey, Ring<T>>);
 
 /// The windowed time-series [`ObsSink`]: every hook lands in the window of
 /// its cycle timestamp, keyed by name + labels, in bounded memory.
@@ -185,9 +144,9 @@ type SeriesKey = (&'static str, SeriesLabels);
 #[derive(Debug, Clone)]
 pub struct TimeSeriesRecorder {
     config: TimeSeriesConfig,
-    counters: BTreeMap<SeriesKey, Ring<u64>>,
-    gauges: BTreeMap<SeriesKey, Ring<f64>>,
-    summaries: BTreeMap<SeriesKey, Ring<QuantileSketch>>,
+    counters: Series<u64>,
+    gauges: Series<f64>,
+    summaries: Series<QuantileSketch>,
     stats: TimeSeriesStats,
 }
 
@@ -205,9 +164,9 @@ impl TimeSeriesRecorder {
                 width: config.width.max(1),
                 ring: config.ring.max(1),
             },
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            summaries: BTreeMap::new(),
+            counters: Series::default(),
+            gauges: Series::default(),
+            summaries: Series::default(),
             stats: TimeSeriesStats::default(),
         }
     }
@@ -224,7 +183,7 @@ impl TimeSeriesRecorder {
 
     /// Distinct (name, labels) series across all kinds.
     pub fn series_count(&self) -> usize {
-        self.counters.len() + self.gauges.len() + self.summaries.len()
+        self.counters.0.len() + self.gauges.0.len() + self.summaries.0.len()
     }
 
     /// The window index of cycle `now`.
@@ -234,85 +193,55 @@ impl TimeSeriesRecorder {
 
     /// Adds `by` to the counter series' window at `now`.
     pub fn inc(&mut self, now: u64, name: &'static str, labels: SeriesLabels, by: u64) {
-        self.stats.samples += 1;
-        let window = now / self.config.width;
-        let ring = self
-            .counters
-            .entry((name, labels))
-            .or_insert_with(|| Ring::new(self.config.ring));
-        *ring.cell(window, &mut self.stats.windows_evicted, |v| *v = 0) += by;
+        let key = (name, labels);
+        *self.counters.point(now, key, self.config, &mut self.stats) += by;
     }
 
     /// Sets the gauge series' window at `now` to its latest value.
     pub fn set(&mut self, now: u64, name: &'static str, labels: SeriesLabels, value: f64) {
-        self.stats.samples += 1;
-        let window = now / self.config.width;
-        let ring = self
-            .gauges
-            .entry((name, labels))
-            .or_insert_with(|| Ring::new(self.config.ring));
-        *ring.cell(window, &mut self.stats.windows_evicted, |v| *v = 0.0) = value;
+        let key = (name, labels);
+        *self.gauges.point(now, key, self.config, &mut self.stats) = value;
     }
 
     /// Records one sample into the summary series' window at `now`.
     pub fn observe(&mut self, now: u64, name: &'static str, labels: SeriesLabels, value: u64) {
-        self.stats.samples += 1;
-        let window = now / self.config.width;
-        let ring = self
-            .summaries
-            .entry((name, labels))
-            .or_insert_with(|| Ring::new(self.config.ring));
-        ring.cell(
-            window,
-            &mut self.stats.windows_evicted,
-            QuantileSketch::clear,
-        )
-        .record(value);
+        let key = (name, labels);
+        let sketch = self.summaries.point(now, key, self.config, &mut self.stats);
+        sketch.record(value);
     }
 
     /// The retained `(window, count)` pairs of one counter series, oldest
     /// window first; empty if the series was never touched.
     pub fn counter_windows(&self, name: &str, labels: SeriesLabels) -> Vec<(u64, u64)> {
-        self.counters
-            .get(&(lookup(name), labels))
-            .map(|ring| ring.windows().into_iter().map(|(w, v)| (w, *v)).collect())
-            .unwrap_or_default()
+        let windows = self.counters.windows(name, labels);
+        windows.into_iter().map(|(w, v)| (w, *v)).collect()
     }
 
     /// The retained `(window, value)` pairs of one gauge series.
     pub fn gauge_windows(&self, name: &str, labels: SeriesLabels) -> Vec<(u64, f64)> {
-        self.gauges
-            .get(&(lookup(name), labels))
-            .map(|ring| ring.windows().into_iter().map(|(w, v)| (w, *v)).collect())
-            .unwrap_or_default()
+        let windows = self.gauges.windows(name, labels);
+        windows.into_iter().map(|(w, v)| (w, *v)).collect()
     }
 
     /// The retained `(window, summary)` pairs of one latency-summary series.
     pub fn summary_windows(&self, name: &str, labels: SeriesLabels) -> Vec<(u64, LatencySummary)> {
-        self.summaries
-            .get(&(lookup(name), labels))
-            .map(|ring| {
-                ring.windows()
-                    .into_iter()
-                    .map(|(w, sketch)| (w, sketch.summary()))
-                    .collect()
-            })
-            .unwrap_or_default()
+        let windows = self.summaries.windows(name, labels);
+        windows.into_iter().map(|(w, s)| (w, s.summary())).collect()
     }
 
     /// Every counter series key, in (name, labels) order.
     pub fn counter_series(&self) -> impl Iterator<Item = (&'static str, SeriesLabels)> + '_ {
-        self.counters.keys().map(|(name, labels)| (*name, *labels))
+        self.counters.0.keys().copied()
     }
 
     /// Every gauge series key, in (name, labels) order.
     pub fn gauge_series(&self) -> impl Iterator<Item = (&'static str, SeriesLabels)> + '_ {
-        self.gauges.keys().map(|(name, labels)| (*name, *labels))
+        self.gauges.0.keys().copied()
     }
 
     /// Every summary series key, in (name, labels) order.
     pub fn summary_series(&self) -> impl Iterator<Item = (&'static str, SeriesLabels)> + '_ {
-        self.summaries.keys().map(|(name, labels)| (*name, *labels))
+        self.summaries.0.keys().copied()
     }
 
     /// The `(window, sketch count/sum)` pairs of one summary series —
@@ -322,17 +251,14 @@ impl TimeSeriesRecorder {
         name: &'static str,
         labels: SeriesLabels,
     ) -> Vec<(u64, &QuantileSketch)> {
-        self.summaries
-            .get(&(name, labels))
-            .map(|ring| ring.windows())
-            .unwrap_or_default()
+        self.summaries.windows(name, labels)
     }
 
     /// Merges another recorder's windows into this one (per-partition
-    /// recorders combined at a barrier): counters add, gauges keep the
-    /// other's value (partitions own disjoint label sets, so overlap means
-    /// the same series and last-write-wins is as good as any), summaries
-    /// merge sketch-wise. Both recorders must share a configuration.
+    /// recorders combined at a barrier), ring by ring: counters add, gauges
+    /// add (every gauge is a fleet count each partition reports its own
+    /// share of, at the same barrier ticks), summaries merge sketch-wise.
+    /// Both recorders must share a configuration.
     ///
     /// Windows only one side retained survive; windows neither retained are
     /// gone on both and stay gone — merging cannot resurrect evicted data.
@@ -341,35 +267,41 @@ impl TimeSeriesRecorder {
             self.config, other.config,
             "merging recorders with different window/ring configurations"
         );
-        let width = self.config.width;
-        for ((name, labels), ring) in &other.counters {
-            for (window, value) in ring.windows() {
-                self.inc(window * width, name, *labels, *value);
-                self.stats.samples -= 1;
-            }
-        }
-        for ((name, labels), ring) in &other.gauges {
-            for (window, value) in ring.windows() {
-                self.set(window * width, name, *labels, *value);
-                self.stats.samples -= 1;
-            }
-        }
-        for ((name, labels), ring) in &other.summaries {
-            for (window, sketch) in ring.windows() {
-                let target = self
-                    .summaries
-                    .entry((*name, *labels))
-                    .or_insert_with(|| Ring::new(self.config.ring));
-                target
-                    .cell(
-                        window,
-                        &mut self.stats.windows_evicted,
-                        QuantileSketch::clear,
-                    )
-                    .merge(sketch);
-            }
-        }
+        let (len, evicted) = (self.config.ring, &mut self.stats.windows_evicted);
+        self.counters.merge(&other.counters, len, evicted);
+        self.gauges.merge(&other.gauges, len, evicted);
+        self.summaries.merge(&other.summaries, len, evicted);
         self.stats.samples += other.stats.samples;
+    }
+}
+
+impl<T: Merge> Series<T> {
+    /// The window of `now` in series `key`, claimed on first touch; counts
+    /// the point in `stats`.
+    fn point(
+        &mut self,
+        now: u64,
+        key: SeriesKey,
+        config: TimeSeriesConfig,
+        stats: &mut TimeSeriesStats,
+    ) -> &mut T {
+        stats.samples += 1;
+        let ring = self.0.entry(key).or_insert_with(|| Ring::new(config.ring));
+        ring.cell(now / config.width, &mut stats.windows_evicted)
+    }
+
+    /// The retained windows of series (`name`, `labels`), oldest first.
+    fn windows(&self, name: &str, labels: SeriesLabels) -> Vec<(u64, &T)> {
+        let ring = self.0.get(&(lookup(name), labels));
+        ring.map(Ring::windows).unwrap_or_default()
+    }
+
+    /// Merges every ring of `other` into the same series here.
+    fn merge(&mut self, other: &Series<T>, len: usize, evicted: &mut u64) {
+        for (key, ring) in &other.0 {
+            let into = self.0.entry(*key).or_insert_with(|| Ring::new(len));
+            into.merge(ring, evicted);
+        }
     }
 }
 
@@ -535,26 +467,15 @@ impl ObsSink for TimeSeriesRecorder {
     fn on_tick(&mut self, now: u64, _frame: &TelemetryFrame, counters: &FleetCounters) {
         let fleet = SeriesLabels::none();
         self.inc(now, "telemetry.ticks", fleet, 1);
-        self.set(now, "fleet.queued", fleet, counters.queued as f64);
-        self.set(now, "fleet.in_flight", fleet, counters.in_flight as f64);
-        self.set(
-            now,
-            "fleet.live_replicas",
-            fleet,
-            counters.live_replicas as f64,
-        );
-        self.set(
-            now,
-            "fleet.migrations_in_flight",
-            fleet,
-            counters.migrations_in_flight as f64,
-        );
-        self.set(
-            now,
-            "fleet.resident_bytes",
-            fleet,
-            counters.resident_bytes as f64,
-        );
+        for (name, value) in [
+            ("fleet.queued", counters.queued),
+            ("fleet.in_flight", counters.in_flight),
+            ("fleet.live_replicas", counters.live_replicas),
+            ("fleet.migrations_in_flight", counters.migrations_in_flight),
+            ("fleet.resident_bytes", counters.resident_bytes),
+        ] {
+            self.set(now, name, fleet, value as f64);
+        }
     }
 
     fn on_alert(&mut self, now: u64, alert: &AlertTransition) {
@@ -746,10 +667,17 @@ mod tests {
             SeriesLabels::model(ModelId::Mnist),
             30,
         );
+        a.set(100, "fleet.live_replicas", SeriesLabels::none(), 3.0);
+        b.set(100, "fleet.live_replicas", SeriesLabels::none(), 2.0);
         a.merge(&b);
         assert_eq!(
             a.counter_windows("serving.arrivals", SeriesLabels::model(ModelId::Mnist)),
             vec![(0, 2)]
+        );
+        assert_eq!(
+            a.gauge_windows("fleet.live_replicas", SeriesLabels::none()),
+            vec![(0, 5.0)],
+            "fleet gauges add across partitions"
         );
         assert_eq!(
             a.counter_windows("serving.arrivals", SeriesLabels::model(ModelId::Bert)),
@@ -763,7 +691,7 @@ mod tests {
         assert_eq!(merged[0].1.max, 30);
         assert_eq!(
             a.stats().samples,
-            5,
+            7,
             "merge folds the other side's samples in"
         );
     }

@@ -78,7 +78,7 @@ pub(crate) use migrate::MigrationEnvelope;
 pub use options::{
     PerfStats, ScheduledMigration, ServingOptions, ServingReport, StochasticService,
 };
-pub(crate) use partition::{PartitionSim, ShardContext};
+pub(crate) use partition::{summarize_models, PartitionSim, ShardContext};
 
 /// The cluster serving simulator (open-loop, or closed-loop under a
 /// [`ControlPlane`]).
@@ -254,30 +254,53 @@ impl PartitionOutcome {
     /// partition-index order, so sketch contents, per-model folds and record
     /// concatenation are deterministic for a fixed partitioning.
     pub(crate) fn merge(&mut self, other: PartitionOutcome) {
-        self.router_stats.merge(&other.router_stats);
-        self.latencies.merge(&other.latencies);
-        for (model, sketch) in other.per_model {
+        // Exhaustive on purpose: a new field fails to compile here until it
+        // is merged.
+        let PartitionOutcome {
+            dispatch: _,
+            router_stats,
+            latencies,
+            per_model,
+            per_node_completed,
+            deadline,
+            batches,
+            migration_records,
+            control,
+            replica_cycles,
+            makespan,
+            perf:
+                PerfStats {
+                    events,
+                    arrivals,
+                    peak_replicas,
+                },
+            alerts,
+            availability,
+        } = other;
+        self.router_stats.merge(&router_stats);
+        self.latencies.merge(&latencies);
+        for (model, sketch) in per_model {
             self.per_model.entry(model).or_default().merge(&sketch);
         }
-        for (node, count) in other.per_node_completed {
+        for (node, count) in per_node_completed {
             *self.per_node_completed.entry(node).or_default() += count;
         }
-        self.deadline.merge(&other.deadline);
-        self.batches += other.batches;
-        self.migration_records.extend(other.migration_records);
-        self.control.merge(&other.control);
-        self.replica_cycles += other.replica_cycles;
-        self.makespan = self.makespan.max(other.makespan);
-        self.perf.events += other.perf.events;
-        self.perf.arrivals += other.perf.arrivals;
+        self.deadline.merge(&deadline);
+        self.batches += batches;
+        self.migration_records.extend(migration_records);
+        self.control.merge(&control);
+        self.replica_cycles += replica_cycles;
+        self.makespan = self.makespan.max(makespan);
+        self.perf.events += events;
+        self.perf.arrivals += arrivals;
         // Summed, not maxed: partition peaks need not coincide in time, so
         // this is the provisioning upper bound, exact when partitions are
         // statically sized (the sequential path never merges).
-        self.perf.peak_replicas += other.perf.peak_replicas;
-        for transition in other.alerts.transitions() {
+        self.perf.peak_replicas += peak_replicas;
+        for transition in alerts.transitions() {
             self.alerts.push(*transition);
         }
-        self.availability.merge(&other.availability);
+        self.availability.merge(&availability);
     }
 
     /// Converts the (merged) outcome into the public report.

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use neu10::{DeadlineStats, MetricsWindow, QuantileSketch};
+use neu10::{DeadlineStats, QuantileSketch};
 use npu_sim::Cycles;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -14,6 +14,7 @@ use workloads::{ModelId, RequestArrival};
 use crate::cluster::{NpuCluster, VnpuHandle};
 use crate::fault::ChaosState;
 use crate::migration::MigrationRecord;
+use crate::obs::window::Merge;
 use crate::obs::{AlertLog, AlertTransition, FleetCounters, ObsSink, RejectReason, SloEngine};
 use crate::router::{DispatchDecision, ReplicaIndex, ReplicaView, Router};
 use crate::sharded::ShardPlan;
@@ -136,12 +137,84 @@ impl ReplicaSim {
     }
 }
 
-/// Per-model accumulators for the current telemetry window.
+/// The per-model accumulators of the current telemetry window: everything
+/// a frame's [`ModelSample`] summarizes at the next tick.
 #[derive(Debug, Default)]
-struct ModelWindow {
-    metrics: MetricsWindow,
+pub(crate) struct ModelWindow {
+    latency: QuantileSketch,
+    deadline: DeadlineStats,
     arrivals: usize,
     rejected: usize,
+}
+
+impl Merge for ModelWindow {
+    fn merge(&mut self, other: &Self) {
+        let ModelWindow {
+            latency,
+            deadline,
+            arrivals,
+            rejected,
+        } = other;
+        self.latency.merge(latency);
+        self.deadline.merge(deadline);
+        self.arrivals += arrivals;
+        self.rejected += rejected;
+    }
+
+    /// Keeps the sketch's buffer, so a steady-state window allocates
+    /// nothing.
+    fn reset(&mut self) {
+        self.latency.clear();
+        self.deadline = DeadlineStats::default();
+        self.arrivals = 0;
+        self.rejected = 0;
+    }
+}
+
+impl ModelWindow {
+    /// Summarizes the window into `sample` and starts the next one.
+    pub(crate) fn flush_into(&mut self, sample: &mut ModelSample) {
+        sample.latency = self.latency.summary_sorted();
+        sample.deadline = self.deadline;
+        sample.arrivals = self.arrivals;
+        sample.rejected = self.rejected;
+        self.reset();
+    }
+}
+
+/// Rebuilds `frame.models` in place from `frame.replicas` and, when given,
+/// the closing telemetry `windows` (which then start afresh): models with
+/// neither a live replica nor a window are dropped, the rest reset, new ones
+/// inserted. Over a stable fleet this allocates nothing, and the result is
+/// bit-identical to a fresh build.
+pub(crate) fn summarize_models(
+    frame: &mut TelemetryFrame,
+    mut windows: Option<&mut BTreeMap<ModelId, ModelWindow>>,
+) {
+    frame.models.retain(|model, entry| {
+        *entry = ModelSample::empty(*model);
+        windows.as_ref().is_some_and(|w| w.contains_key(model))
+            || frame.replicas.iter().any(|sample| sample.model == *model)
+    });
+    for sample in &frame.replicas {
+        let entry = frame
+            .models
+            .entry(sample.model)
+            .or_insert_with(|| ModelSample::empty(sample.model));
+        if !sample.draining {
+            entry.replicas += 1;
+        }
+        entry.queued += sample.queue_len;
+        entry.in_flight += sample.in_flight;
+    }
+    for (model, window) in windows.iter_mut().flat_map(|windows| windows.iter_mut()) {
+        window.flush_into(
+            frame
+                .models
+                .entry(*model)
+                .or_insert_with(|| ModelSample::empty(*model)),
+        );
+    }
 }
 
 /// The run's accounting: deadline, telemetry-window, SLO and chaos ledgers,
@@ -199,7 +272,7 @@ impl ServeState {
     ) {
         self.deadline.record_dropped();
         if let Some(window) = self.window_of(request.model) {
-            window.metrics.record_dropped();
+            window.deadline.record_dropped();
         }
         if let Some(engine) = &mut self.slo {
             engine.observe_expired(now, request.model, request.priority);
@@ -276,7 +349,6 @@ pub(crate) struct PartitionSim<'a> {
     /// Telemetry scratch, reused across ticks: the frame's vectors and model
     /// map persist, so steady-state sampling allocates nothing.
     frame: TelemetryFrame,
-    stale_models: Vec<ModelId>,
     arrivals: &'a [RequestArrival],
     next_arrival: usize,
     makespan: u64,
@@ -305,8 +377,9 @@ impl<'a> PartitionSim<'a> {
     }
 
     /// Builds one partition of a sharded run. Telemetry and alert events are
-    /// never armed partition-side — the coordinator drives sampling at the
-    /// barrier so the control plane sees the whole fleet, not one shard.
+    /// never armed partition-side — the coordinator drives sampling and SLO
+    /// evaluation at the barrier so the control plane and the burn rates see
+    /// the whole fleet, not one shard.
     pub(crate) fn new_sharded(
         options: ServingOptions,
         cluster: &NpuCluster,
@@ -332,8 +405,8 @@ impl<'a> PartitionSim<'a> {
             }
         }
         let slo = options.slo.as_ref().map(SloEngine::new);
-        // Sharded partitions never self-sample: the coordinator ticks
-        // telemetry at the barrier over the merged fleet instead.
+        // Sharded partitions never self-sample or self-evaluate: the
+        // coordinator ticks both at the barrier over the merged fleet.
         if shard.is_none() {
             if let Some(interval) = options.telemetry_interval {
                 events.push(interval, EV_SAMPLE, 0);
@@ -382,7 +455,6 @@ impl<'a> PartitionSim<'a> {
                 replicas: Vec::new(),
                 models: BTreeMap::new(),
             },
-            stale_models: Vec::new(),
             arrivals,
             next_arrival: 0,
             makespan: 0,
@@ -595,7 +667,7 @@ impl<'a> PartitionSim<'a> {
                 .or_default()
                 .record(latency);
             if let Some(window) = self.state.window_of(request.model) {
-                window.metrics.record_latency(latency);
+                window.latency.record(latency);
             }
             let mut deadline_met = None;
             if let Some(deadline) = request.deadline {
@@ -603,7 +675,7 @@ impl<'a> PartitionSim<'a> {
                 deadline_met = Some(met);
                 self.state.deadline.record_completion(met);
                 if let Some(window) = self.state.window_of(request.model) {
-                    window.metrics.record_deadline(met);
+                    window.deadline.record_completion(met);
                 }
             }
             self.router.record_completion();
@@ -817,8 +889,9 @@ impl<'a> PartitionSim<'a> {
     }
 
     /// Evaluates the SLO engine and hands its alert edges to the report, the
-    /// sink and the control plane.
-    fn alert_tick<S: ObsSink + ?Sized>(
+    /// sink and the control plane. The sharded coordinator calls this on the
+    /// partition holding the fleet's merged windows, at its own barriers.
+    pub(crate) fn alert_tick<S: ObsSink + ?Sized>(
         &mut self,
         controller: &mut dyn ControlPlane,
         now: u64,
@@ -837,7 +910,7 @@ impl<'a> PartitionSim<'a> {
         }
         // Same liveness rule as the telemetry bus: alert ticks observe work,
         // they must not sustain it.
-        if self.work_left() {
+        if self.shard.is_none() && self.work_left() {
             self.events.push(now + tick, EV_ALERT, 0);
         }
     }
@@ -957,10 +1030,9 @@ impl<'a> PartitionSim<'a> {
     /// for the control plane.
     ///
     /// The frame's replica vector and model map are per-run scratch: the
-    /// vector is cleared and refilled (its capacity persists) and the map's
-    /// entries are reset in place, with new models inserted and vanished
-    /// models swept via the reused stale-model buffer — so a steady-state
-    /// tick over a stable fleet allocates nothing. The frame contents are
+    /// vector is cleared and refilled (its capacity persists) and the map is
+    /// rebuilt in place by [`summarize_models`] — so a steady-state tick
+    /// over a stable fleet allocates nothing. The frame contents are
     /// bit-identical to a from-scratch build.
     fn sample_frame(&mut self, now: u64) {
         let frame = &mut self.frame;
@@ -992,45 +1064,10 @@ impl<'a> PartitionSim<'a> {
             replica.window_busy = 0;
         }
 
-        for (model, entry) in frame.models.iter_mut() {
-            *entry = ModelSample::empty(*model);
-        }
-        for sample in &frame.replicas {
-            let entry = frame
-                .models
-                .entry(sample.model)
-                .or_insert_with(|| ModelSample::empty(sample.model));
-            if !sample.draining {
-                entry.replicas += 1;
-            }
-            entry.queued += sample.queue_len;
-            entry.in_flight += sample.in_flight;
-        }
-        for (model, window_acc) in self.state.windows.iter_mut().flatten() {
-            let entry = frame
-                .models
-                .entry(*model)
-                .or_insert_with(|| ModelSample::empty(*model));
-            entry.arrivals = window_acc.arrivals;
-            entry.rejected = window_acc.rejected;
-            let (latency, deadline) = window_acc.metrics.flush();
-            entry.latency = latency;
-            entry.deadline = deadline;
-            window_acc.arrivals = 0;
-            window_acc.rejected = 0;
-        }
-        // Sweep models that vanished since the last tick (no live replica,
-        // never any window traffic) so the frame matches a fresh build.
-        let windows = &self.state.windows;
-        self.stale_models.clear();
-        self.stale_models
-            .extend(frame.models.keys().copied().filter(|model| {
-                !windows.as_ref().is_some_and(|w| w.contains_key(model))
-                    && !frame.replicas.iter().any(|sample| sample.model == *model)
-            }));
-        for model in self.stale_models.drain(..) {
-            frame.models.remove(&model);
-        }
+        // A sharded partition leaves its windows to the coordinator, which
+        // merges every partition's exactly and summarizes the fleet once.
+        let windows = self.state.windows.as_mut().filter(|_| self.shard.is_none());
+        summarize_models(frame, windows);
         self.state.window_start = now;
     }
 
@@ -1116,6 +1153,23 @@ impl<'a> PartitionSim<'a> {
         &self.frame
     }
 
+    /// Moves this partition's telemetry windows into `into`, merging model
+    /// by model, and starts its next window.
+    pub(crate) fn drain_windows(&mut self, into: &mut BTreeMap<ModelId, ModelWindow>) {
+        for (model, window) in self.state.windows.iter_mut().flatten() {
+            into.entry(*model).or_default().merge(window);
+            window.reset();
+        }
+    }
+
+    /// Hands the SLO observations made since the last alert barrier to
+    /// `fleet`, the partition whose engine evaluates for the whole fleet.
+    pub(crate) fn hand_slo_to(&mut self, fleet: &mut PartitionSim) {
+        if let (Some(ours), Some(theirs)) = (&mut self.state.slo, &mut fleet.state.slo) {
+            ours.drain_into(theirs);
+        }
+    }
+
     /// Bumps the merged sample counter; called by the coordinator once per
     /// barrier tick on the lowest-indexed partition so the merged report
     /// counts ticks, not ticks × partitions.
@@ -1192,6 +1246,57 @@ mod tests {
     use crate::serving::ClusterServingSim;
     use npu_sim::NpuConfig;
     use workloads::ClusterTrace;
+
+    #[test]
+    fn model_window_flushes_and_resets() {
+        let mut window = ModelWindow::default();
+        window.latency.record(10);
+        window.latency.record(30);
+        window.deadline.record_completion(true);
+        window.deadline.record_completion(false);
+        window.deadline.record_dropped();
+        window.arrivals = 3;
+        let mut sample = ModelSample::empty(ModelId::Mnist);
+        window.flush_into(&mut sample);
+        assert_eq!(sample.latency.count, 2);
+        assert!((sample.latency.mean - 20.0).abs() < 1e-12);
+        assert_eq!(sample.deadline.with_deadline, 3);
+        assert_eq!(sample.deadline.failed(), 2);
+        assert_eq!(sample.arrivals, 3);
+        // The flush resets the window.
+        window.flush_into(&mut sample);
+        assert_eq!(sample.latency.count, 0);
+        assert_eq!(sample.deadline, DeadlineStats::default());
+        assert_eq!(sample.arrivals, 0);
+    }
+
+    #[test]
+    fn merged_model_windows_summarize_like_one_window() {
+        let mut whole = ModelWindow::default();
+        let mut parts = [ModelWindow::default(), ModelWindow::default()];
+        for latency in 1..=40u64 {
+            whole.latency.record(latency);
+            parts[(latency % 2) as usize].latency.record(latency);
+        }
+        for (met, part) in [(true, 0), (false, 1), (false, 1)] {
+            whole.deadline.record_completion(met);
+            parts[part].deadline.record_completion(met);
+        }
+        whole.rejected = 5;
+        parts[0].rejected = 2;
+        parts[1].rejected = 3;
+        let mut merged = ModelWindow::default();
+        for part in &parts {
+            merged.merge(part);
+        }
+        let (mut expected, mut got) = (
+            ModelSample::empty(ModelId::Mnist),
+            ModelSample::empty(ModelId::Mnist),
+        );
+        whole.flush_into(&mut expected);
+        merged.flush_into(&mut got);
+        assert_eq!(got, expected, "the merge is exact, percentiles included");
+    }
 
     #[test]
     fn batching_serves_a_backlog_in_fewer_longer_passes() {

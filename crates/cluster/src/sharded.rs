@@ -13,16 +13,20 @@
 //!   delivered at a barrier;
 //! * **telemetry / control** — the control plane runs fleet-wide at barrier
 //!   ticks over the merged frame, and its actions are routed back to the
-//!   owning partition.
+//!   owning partition;
+//! * **SLO alerts** — partitions only count good and bad completions into
+//!   their own windows; at alert barriers the coordinator merges them
+//!   exactly into the first partition's engine, which evaluates the burn
+//!   rates once, for the fleet.
 //!
 //! # Lookahead and rounds
 //!
 //! Partitions advance in bounded-window rounds. The window bound is the
-//! minimum of: the next telemetry tick, the next scheduled migration (plus
-//! one cycle, so the triggering event itself runs), and — whenever any
-//! cross-partition transfer is pending — `now + lookahead`, where the
-//! lookahead is the interconnect setup latency from
-//! [`npu_sim::interconnect`](npu_sim::InterconnectConfig): no cross-edge
+//! minimum of: the next telemetry tick, the next alert tick, the next
+//! scheduled migration (plus one cycle, so the triggering event itself
+//! runs), and — whenever any cross-partition transfer is pending —
+//! `now + lookahead`, where the lookahead is the interconnect setup latency
+//! from [`npu_sim::interconnect`](npu_sim::InterconnectConfig): no cross-edge
 //! effect can land sooner than one link setup. When none of these bound the
 //! future, the final round runs unbounded to completion.
 //!
@@ -45,19 +49,17 @@ use crate::fault::FaultSchedule;
 use crate::obs::{NoopSink, ObsSink};
 use crate::par::with_pool;
 use crate::serving::{
-    ClusterServingSim, MigrationEnvelope, PartitionOutcome, PartitionSim, ServingOptions,
-    ServingReport, ShardContext,
+    summarize_models, ClusterServingSim, MigrationEnvelope, PartitionOutcome, PartitionSim,
+    ServingOptions, ServingReport, ShardContext,
 };
-use crate::telemetry::{ControlAction, ControlPlane, ModelSample, NoopControl, TelemetryFrame};
+use crate::telemetry::{ControlAction, ControlPlane, NoopControl, TelemetryFrame};
 use crate::NodeId;
-use neu10::LatencySummary;
 use npu_sim::Cycles;
 
 /// How a sharded run is laid out: board-group partitions and worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardOptions {
-    /// Board-group partitions. Clamped to `[1, node_count]`; clamped to 1
-    /// when an SLO engine is configured (alert evaluation is fleet-global).
+    /// Board-group partitions. Clamped to `[1, node_count]`.
     /// The partition count — not the thread count — is what changes the
     /// merged report: each count is its own deterministic schedule.
     pub partitions: usize,
@@ -265,12 +267,7 @@ fn drive<S: ObsSink + Send + Default>(
     sinks: &mut Vec<S>,
 ) -> ServingReport {
     let options = sim.options();
-    let mut partitions = shard.partitions.clamp(1, cluster.node_count().max(1));
-    // SLO burn-rate evaluation is fleet-global state inside the event loop;
-    // partitioning it would change alert edges. Such runs stay sequential.
-    if options.slo.is_some() {
-        partitions = 1;
-    }
+    let partitions = shard.partitions.clamp(1, cluster.node_count().max(1));
     if partitions <= 1 {
         sinks.clear();
         sinks.resize_with(1, S::default);
@@ -360,6 +357,10 @@ fn drive<S: ObsSink + Send + Default>(
 
     let mut now: u64 = 0;
     let mut next_tick = interval;
+    // SLO burn rates are fleet-global: partitions only observe, and the
+    // first partition's engine evaluates for the fleet at alert barriers.
+    let alert_interval = options.slo.as_ref().map(|slo| slo.tick.max(1));
+    let mut next_alert = alert_interval;
 
     let run = |job: &mut ShardJob<S>| {
         // Workers never invoke the control plane: telemetry events are not
@@ -372,7 +373,7 @@ fn drive<S: ObsSink + Send + Default>(
         while sims.iter().any(PartitionSim::busy) {
             let pending_remote = sims.iter().any(PartitionSim::pending_remote);
             let mut bound = u64::MAX;
-            if let Some(tick) = next_tick {
+            for tick in [next_tick, next_alert].into_iter().flatten() {
                 bound = bound.min(tick);
             }
             if pending_remote {
@@ -437,7 +438,7 @@ fn drive<S: ObsSink + Send + Default>(
                     sims[index].tick(&mut clusters[index], now, &mut sinks[index]);
                 }
                 sims[0].count_sample();
-                let frame = merge_frames(&sims, now);
+                let frame = merge_frames(&mut sims, now);
                 // The control plane sees the whole fleet, so the partitions'
                 // clusters are absorbed back into one; scale-ups place
                 // against fleet-wide capacity, then everything re-splits.
@@ -484,7 +485,22 @@ fn drive<S: ObsSink + Send + Default>(
                 }
             }
 
-            // Barrier, phase 3: refresh the arrival-ownership plan from the
+            // Barrier, phase 3: the alert tick, after the telemetry tick of
+            // the same cycle as in the sequential event order. Every
+            // partition's SLO windows merge exactly into the first's, which
+            // evaluates once and delivers the edges to its report, its sink
+            // and the control plane.
+            if next_alert == Some(now) {
+                next_alert = alert_interval.map(|width| now + width);
+                if let Some((fleet, rest)) = sims.split_first_mut() {
+                    for partition in rest {
+                        partition.hand_slo_to(fleet);
+                    }
+                    fleet.alert_tick(controller, now, &mut sinks[0]);
+                }
+            }
+
+            // Barrier, phase 4: refresh the arrival-ownership plan from the
             // post-reconciliation replica placement.
             rebuild_plan(&mut sims, partitions);
         }
@@ -549,57 +565,24 @@ fn rebuild_plan(sims: &mut [PartitionSim], partitions: usize) {
 }
 
 /// Merges the partitions' telemetry frames into one fleet view for the
-/// control plane, in partition-index order.
-///
-/// Counts (replicas, queue depths, arrivals, rejections, deadline tallies)
-/// merge exactly. Latency summaries merge approximately: count-weighted mean
-/// and the maximum of each percentile — a conservative fleet tail. The
-/// window and timestamps are identical across partitions (all ticked at the
-/// same barrier), so they pass through unchanged.
-fn merge_frames(sims: &[PartitionSim], now: u64) -> TelemetryFrame {
+/// control plane, in partition-index order: the replica samples concatenate,
+/// and the partitions' raw telemetry windows merge exactly and are
+/// summarized once, so every model sample is that of one fleet-wide window.
+fn merge_frames(sims: &mut [PartitionSim], now: u64) -> TelemetryFrame {
     let mut frame = TelemetryFrame {
         at: Cycles(now),
         window: Cycles::ZERO,
         replicas: Vec::new(),
         models: BTreeMap::new(),
     };
-    for partition in sims {
+    let mut windows = BTreeMap::new();
+    for partition in sims.iter_mut() {
         let part = partition.frame();
-        frame.window = Cycles(frame.window.get().max(part.window.get()));
+        // Every partition ticked at this barrier, so the windows agree.
+        frame.window = part.window;
         frame.replicas.extend(part.replicas.iter().copied());
-        for (model, sample) in &part.models {
-            let entry = frame
-                .models
-                .entry(*model)
-                .or_insert_with(|| ModelSample::empty(*model));
-            entry.replicas += sample.replicas;
-            entry.queued += sample.queued;
-            entry.in_flight += sample.in_flight;
-            entry.arrivals += sample.arrivals;
-            entry.rejected += sample.rejected;
-            entry.latency = merge_latency(&entry.latency, &sample.latency);
-            entry.deadline.merge(&sample.deadline);
-        }
+        partition.drain_windows(&mut windows);
     }
+    summarize_models(&mut frame, Some(&mut windows));
     frame
-}
-
-/// Count-weighted approximate merge of two latency summaries: exact count
-/// and mean, max of each percentile (conservative for tail-driven control).
-fn merge_latency(a: &LatencySummary, b: &LatencySummary) -> LatencySummary {
-    if a.count == 0 {
-        return *b;
-    }
-    if b.count == 0 {
-        return *a;
-    }
-    let count = a.count + b.count;
-    LatencySummary {
-        count,
-        mean: (a.mean * a.count as f64 + b.mean * b.count as f64) / count as f64,
-        p50: a.p50.max(b.p50),
-        p95: a.p95.max(b.p95),
-        p99: a.p99.max(b.p99),
-        max: a.max.max(b.max),
-    }
 }

@@ -71,12 +71,8 @@ impl LatencySummary {
         let mut sorted = values.to_vec();
         sorted.sort_unstable();
         LatencySummary {
-            count: values.len(),
             mean: mean(values),
-            p50: sorted_percentile(&sorted, 50.0),
-            p95: sorted_percentile(&sorted, 95.0),
-            p99: sorted_percentile(&sorted, 99.0),
-            max: sorted.last().copied().unwrap_or(0),
+            ..LatencySummary::from_sorted(&sorted)
         }
     }
 
@@ -331,7 +327,7 @@ impl QuantileSketch {
     /// Summarizes like sorting the samples and calling
     /// [`LatencySummary::from_sorted`] — the variant whose mean folds the
     /// samples in **ascending** order, used by the fleet serving report and
-    /// [`MetricsWindow::flush`]. Sorts the retained buffer in place (exact
+    /// its telemetry windows. Sorts the retained buffer in place (exact
     /// mode), so it takes `&mut self`; bit-identical below the cap.
     pub fn summary_sorted(&mut self) -> LatencySummary {
         if self.count == 0 {
@@ -452,59 +448,6 @@ impl DeadlineStats {
     }
 }
 
-/// Windowed metric accumulation for periodic telemetry sampling.
-///
-/// A control loop observing a running simulation needs *per-window* tails and
-/// miss rates — the cumulative numbers smear a spike over the whole run and
-/// the controller reacts a window too late. `MetricsWindow` collects latency
-/// samples and deadline outcomes between two ticks; [`MetricsWindow::flush`]
-/// summarizes the window and resets it for the next one.
-/// Latency samples are held in a [`QuantileSketch`], so a window is exact
-/// (and bit-identical to the historical `Vec`-backed implementation) below
-/// the sketch's exact cap and degrades to `α`-bounded quantiles — with
-/// bounded memory — beyond it.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsWindow {
-    samples: QuantileSketch,
-    deadline: DeadlineStats,
-}
-
-impl MetricsWindow {
-    /// Records one completed request's latency.
-    pub fn record_latency(&mut self, cycles: u64) {
-        self.samples.record(cycles);
-    }
-
-    /// Records the deadline outcome of a completed deadline-carrying request.
-    pub fn record_deadline(&mut self, met: bool) {
-        self.deadline.record_completion(met);
-    }
-
-    /// Records a deadline-carrying request dropped unserved on expiry.
-    pub fn record_dropped(&mut self) {
-        self.deadline.record_dropped();
-    }
-
-    /// Completions recorded since the last flush.
-    pub fn completions(&self) -> usize {
-        self.samples.count()
-    }
-
-    /// Summarizes the window and resets it.
-    ///
-    /// The sketch's retained buffer is sorted in place (it is about to be
-    /// cleared anyway) and reused across windows, so a steady-state flush
-    /// allocates nothing — part of the allocation-free telemetry sampling
-    /// path.
-    pub fn flush(&mut self) -> (LatencySummary, DeadlineStats) {
-        let summary = self.samples.summary_sorted();
-        let deadline = self.deadline;
-        self.samples.clear();
-        self.deadline = DeadlineStats::default();
-        (summary, deadline)
-    }
-}
-
 /// Ratio helper that treats a zero denominator as "no change" (1.0).
 pub fn normalized(value: f64, baseline: f64) -> f64 {
     if baseline <= 0.0 {
@@ -570,27 +513,6 @@ mod tests {
         assert_eq!(stats.dropped, 1);
         assert_eq!(stats.failed(), 2);
         assert!((stats.miss_rate() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn metrics_window_flushes_and_resets() {
-        let mut window = MetricsWindow::default();
-        window.record_latency(10);
-        window.record_latency(30);
-        window.record_deadline(true);
-        window.record_deadline(false);
-        window.record_dropped();
-        assert_eq!(window.completions(), 2);
-        let (latency, deadline) = window.flush();
-        assert_eq!(latency.count, 2);
-        assert!((latency.mean - 20.0).abs() < 1e-12);
-        assert_eq!(deadline.with_deadline, 3);
-        assert_eq!(deadline.failed(), 2);
-        // The flush resets the window.
-        assert_eq!(window.completions(), 0);
-        let (empty, stats) = window.flush();
-        assert_eq!(empty.count, 0);
-        assert_eq!(stats, DeadlineStats::default());
     }
 
     #[test]

@@ -10,15 +10,20 @@
 //!   migrations;
 //! * the per-partition observability sinks merge
 //!   (`TraceRecorder::merge`, `MetricsRegistry::merge`) to byte-identical
-//!   exports at every thread count;
+//!   exports at every thread count, and merged fleet gauges read the fleet
+//!   total;
+//! * SLO burn-rate alerts, evaluated at barriers over the partitions' merged
+//!   windows, obey the same thread contract and still detect a breach;
 //! * no admitted request vanishes across partition boundaries
 //!   (admitted = completed + dropped + lost), and every trace arrival is
 //!   walked exactly once fleet-wide.
 
+use autopilot::{Autopilot, AutoscalePolicy, ScalingSpec, TargetTracking};
 use cluster::{
     AdmissionControl, ClusterServingSim, DeploySpec, DispatchPolicy, FaultKind, FaultSchedule,
-    MetricsRegistry, NodeId, NpuCluster, RecoveryPolicy, ServingOptions, ServingReport,
-    ShardOptions, StochasticService, TraceConfig, TraceRecorder,
+    MetricsRegistry, NodeId, NpuCluster, RecoveryPolicy, SeriesLabels, ServingOptions,
+    ServingReport, ShardOptions, SloConfig, SloSpec, StochasticService, TimeSeriesRecorder,
+    TraceConfig, TraceRecorder,
 };
 use npu_sim::{Cycles, NpuConfig};
 use workloads::{ClusterTrace, ModelId, PriorityClass, QosSpec};
@@ -267,5 +272,146 @@ fn partitioned_run_serves_comparable_load() {
     assert!(
         par >= seq * 0.85,
         "partitioned completions ({par}) must stay within 15% of sequential ({seq})"
+    );
+}
+
+/// Every `fleet.*` gauge is a fleet count each partition sets to its own
+/// share at the same barrier ticks, so the merged gauge must read the fleet
+/// total — not the last partition's share — at every partition count.
+#[test]
+fn merged_fleet_gauges_read_the_fleet_total() {
+    let boards = 4;
+    let service = cluster::estimated_service_cycles(ModelId::Mnist, 2, 2, &config());
+    let trace = ClusterTrace::poisson(&[(ModelId::Mnist, service / 2)], 200, 5);
+    let fleet = || {
+        let mut fleet = NpuCluster::homogeneous(boards, &config());
+        for node in 0..boards as u32 {
+            fleet
+                .deploy_pinned(DeploySpec::replica(ModelId::Mnist, 2, 2), NodeId(node))
+                .expect("capacity for one replica per board");
+        }
+        fleet
+    };
+    for partitions in [1, 2, 4] {
+        let sim = ClusterServingSim::new(
+            ServingOptions::new(DispatchPolicy::LeastLoaded).with_telemetry(service * 3),
+        );
+        let shard = ShardOptions::new(partitions);
+        let mut recorders: Vec<TraceRecorder> = Vec::new();
+        sim.run_sharded_observed(&mut fleet(), &trace, shard, &mut recorders);
+        let mut registry = MetricsRegistry::new();
+        for recorder in &recorders {
+            registry.merge(recorder.metrics());
+        }
+        assert_eq!(
+            registry.gauge("fleet.live_replicas"),
+            Some(boards as f64),
+            "partitions {partitions}: the merged registry gauge is the fleet total"
+        );
+        let mut series: Vec<TimeSeriesRecorder> = Vec::new();
+        sim.run_sharded_observed(&mut fleet(), &trace, shard, &mut series);
+        let merged = series
+            .iter()
+            .fold(TimeSeriesRecorder::default(), |mut acc, part| {
+                acc.merge(part);
+                acc
+            });
+        let windows = merged.gauge_windows("fleet.live_replicas", SeriesLabels::none());
+        assert!(
+            !windows.is_empty(),
+            "partitions {partitions}: gauges sampled"
+        );
+        for (window, value) in windows {
+            assert_eq!(
+                value, boards as f64,
+                "partitions {partitions} window {window}: the merged series gauge is the fleet total"
+            );
+        }
+    }
+}
+
+/// The SLO scenario of the randomized suite: the default burn-rate ladder
+/// over MNIST with a `target`-cycle latency objective, telemetry, and an
+/// autopilot that also scales up on every fire edge.
+fn run_slo(target: u64, shard: Option<ShardOptions>) -> ServingReport {
+    let service = cluster::estimated_service_cycles(ModelId::Mnist, 2, 2, &config());
+    let mut fleet = wide_fleet(8);
+    let slo = SloConfig::new(service * 4)
+        .with_spec(SloSpec::new(ModelId::Mnist, Cycles(target), 0.95))
+        .with_default_policies();
+    let options = ServingOptions::new(DispatchPolicy::LeastLoaded)
+        .with_batching(4)
+        .with_stochastic(StochasticService::seeded(31).with_cv(0.2))
+        .with_telemetry(service * 3)
+        .with_slo(slo);
+    let mut pilot = Autopilot::new()
+        .with_model(ScalingSpec::new(
+            DeploySpec::replica(ModelId::Mnist, 2, 2),
+            1,
+            16,
+            AutoscalePolicy::TargetTracking(TargetTracking::new(4.0, service * 6)),
+        ))
+        .with_alert_scaling(service * 12);
+    let sim = ClusterServingSim::new(options);
+    let trace = wide_trace(31, 240);
+    match shard {
+        Some(shard) => sim.run_sharded_with_controller(&mut fleet, &trace, shard, &mut pilot),
+        None => sim.run_with_controller(&mut fleet, &trace, &mut pilot),
+    }
+}
+
+/// SLO runs shard: alert edges are evaluated once per barrier over the
+/// partitions' exactly merged windows, so the thread count never changes
+/// the alert log or the control plane's reaction to it, and one partition
+/// is still the sequential run, alert log included.
+#[test]
+fn sharded_slo_runs_obey_the_thread_contract() {
+    let service = cluster::estimated_service_cycles(ModelId::Mnist, 2, 2, &config());
+    for target in [service * 2, service / 2] {
+        let reference = run_slo(target, Some(ShardOptions::new(2).with_threads(1)));
+        let parallel = run_slo(target, Some(ShardOptions::new(2).with_threads(2)));
+        assert!(
+            reference.alerts.fired() > 0,
+            "target {target}: the scenario fires, so the contract covers real edges"
+        );
+        assert_eq!(
+            reference.alerts.render_text(),
+            parallel.alerts.render_text(),
+            "target {target}: the alert log is identical at every thread count"
+        );
+        assert_eq!(reference.control, parallel.control);
+        assert_eq!(reference, parallel);
+
+        let sequential = run_slo(target, None);
+        let single = run_slo(target, Some(ShardOptions::new(1).with_threads(2)));
+        assert_eq!(
+            sequential.alerts.render_text(),
+            single.alerts.render_text(),
+            "target {target}: one partition reproduces the sequential alert log"
+        );
+        assert_eq!(sequential, single);
+    }
+}
+
+/// A latency target below the bare service time makes every completion a
+/// breach: at two partitions the barrier-evaluated engine must still fire
+/// within one fast window, and the autopilot must see the edge.
+#[test]
+fn sharded_slo_detects_a_guaranteed_breach_within_one_fast_window() {
+    let service = cluster::estimated_service_cycles(ModelId::Mnist, 2, 2, &config());
+    let report = run_slo(service / 2, Some(ShardOptions::new(2)));
+    let fast_window = service * 4 * 4; // page policy: 4 ticks of 4x service
+    let first = report
+        .alerts
+        .first_fire_after(Cycles(0))
+        .expect("a sub-service latency target must fire");
+    assert!(
+        first.at.get() <= fast_window,
+        "fired at {}, beyond one fast window ({fast_window})",
+        first.at.get()
+    );
+    assert!(
+        report.control.scale_ups > 0,
+        "alert-driven scaling reacts to the barrier's edges"
     );
 }
