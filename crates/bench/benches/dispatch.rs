@@ -1,18 +1,20 @@
-//! Dispatch hot-path microbenchmark: indexed candidate lookup versus the
-//! per-arrival candidate rebuild it replaced, measured through the full
-//! serving loop on a replica-dense fleet (the regime where the rebuild's
-//! O(replicas²)-per-arrival cost dominates).
+//! Dispatch hot-path microbenchmark: least-loaded dispatch from the
+//! load-ordered index, measured through the full serving loop on a
+//! replica-dense fleet.
 //!
-//! The bench also runs under a counting allocator and verifies two
+//! The bench also runs under a counting allocator and verifies three
 //! allocation budgets on top of the timing numbers:
 //!
+//! * least-loaded dispatch is allocation-free at steady state: doubling the
+//!   arrivals of the same run must not add an allocation per arrival (no
+//!   candidate snapshot, no index node churn on re-keying);
 //! * the telemetry sampling path is allocation-free at steady state: a run
 //!   with dense sampling must not allocate once per tick on top of the
 //!   identical telemetry-off run (the regression `telemetry::sample()` used
 //!   to have — fresh frame vectors and model maps every tick), and adding
 //!   SLO burn-rate alerting on top must not allocate once per alert tick
-//!   either (the alert-edge scratch is reused, ring cells are bumped in
-//!   place);
+//!   either, nor once per alert edge (the alert-edge scratch is reused,
+//!   ring cells are bumped in place);
 //! * the observability instrumentation is free when disabled: a run through
 //!   the `&mut dyn ObsSink` entry point with a [`NoopSink`] must allocate
 //!   **exactly** as many times as the plain `run` path — the hooks left in
@@ -83,6 +85,10 @@ fn fleet() -> NpuCluster {
 }
 
 fn trace() -> ClusterTrace {
+    trace_of(ARRIVALS_PER_MODEL)
+}
+
+fn trace_of(arrivals_per_model: usize) -> ClusterTrace {
     let npu = NpuConfig::tpu_v4_like();
     let replicas_per_model = REPLICAS / models().len();
     let streams: Vec<(ModelId, u64)> = models()
@@ -93,7 +99,41 @@ fn trace() -> ClusterTrace {
             (*model, gap.max(1.0) as u64)
         })
         .collect();
-    ClusterTrace::poisson(&streams, ARRIVALS_PER_MODEL, 11)
+    ClusterTrace::poisson(&streams, arrivals_per_model, 11)
+}
+
+/// Asserts least-loaded dispatch allocates nothing per arrival at steady
+/// state: the same fleet and load at N and 2N arrivals per model may differ
+/// by warm-up growth (sketch and queue buffers), never by an allocation per
+/// extra arrival, dispatch or re-key.
+fn verify_least_loaded_dispatch_is_allocation_free() {
+    let run = |arrivals_per_model: usize| {
+        let trace = trace_of(arrivals_per_model);
+        let mut fleet = fleet();
+        let options = ServingOptions::new(DispatchPolicy::LeastLoaded).with_batching(MAX_BATCH);
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let report = ClusterServingSim::new(options).run(&mut fleet, &trace);
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        (allocations, report)
+    };
+    // The first run in the process fills the workload-compilation memo;
+    // both measured runs must start past it.
+    run(ARRIVALS_PER_MODEL);
+    let (short_allocations, short) = run(ARRIVALS_PER_MODEL);
+    let (long_allocations, long) = run(2 * ARRIVALS_PER_MODEL);
+    let extra_arrivals = (long.stats.offered - short.stats.offered) as u64;
+    assert_eq!(extra_arrivals, (ARRIVALS_PER_MODEL * models().len()) as u64);
+    assert_eq!(long.stats.completed, long.stats.admitted);
+    let delta = long_allocations.saturating_sub(short_allocations);
+    assert!(
+        delta < extra_arrivals / 100,
+        "least-loaded dispatch must not allocate per arrival: \
+         {delta} extra allocations over {extra_arrivals} extra arrivals"
+    );
+    println!(
+        "dispatch-alloc: {delta} extra allocations over {extra_arrivals} extra arrivals \
+         (allocation-free steady state)"
+    );
 }
 
 /// Asserts the telemetry sampling path allocates nothing per tick at steady
@@ -152,15 +192,18 @@ fn verify_telemetry_sampling_is_allocation_free() {
     );
     assert_eq!(sampled.stats.completed, slo.stats.completed);
     let slo_delta = slo_allocations.saturating_sub(sampled_allocations);
+    let edges = slo.alerts.len() as u64;
+    assert!(edges > 100, "the scenario must emit alert edges ({edges})");
+    // Bounded by the edge count, not the tick count: an allocation per
+    // evaluation that emits edges must fail here too.
     assert!(
-        slo_delta < alert_ticks / 2,
-        "SLO alerting must not allocate per alert tick: \
-         {slo_delta} extra allocations over {alert_ticks} alert ticks"
+        slo_delta < edges / 2,
+        "SLO alerting must not allocate per alert tick or edge: \
+         {slo_delta} extra allocations over {alert_ticks} alert ticks and {edges} edges"
     );
     println!(
         "slo-alloc: {slo_delta} extra allocations over {alert_ticks} alert ticks \
-         ({} alert edges; allocation-free steady state)",
-        slo.alerts.len()
+         ({edges} alert edges; allocation-free steady state)"
     );
 }
 
@@ -200,6 +243,7 @@ fn verify_obs_disabled_adds_zero_allocations() {
 }
 
 fn bench_dispatch(c: &mut Criterion) {
+    verify_least_loaded_dispatch_is_allocation_free();
     verify_telemetry_sampling_is_allocation_free();
     verify_obs_disabled_adds_zero_allocations();
     let trace = trace();
@@ -209,15 +253,6 @@ fn bench_dispatch(c: &mut Criterion) {
         b.iter(|| {
             let mut fleet = fleet();
             let options = ServingOptions::new(DispatchPolicy::LeastLoaded).with_batching(MAX_BATCH);
-            black_box(ClusterServingSim::new(options).run(&mut fleet, &trace))
-        })
-    });
-    group.bench_function("reference-rebuild", |b| {
-        b.iter(|| {
-            let mut fleet = fleet();
-            let options = ServingOptions::new(DispatchPolicy::LeastLoaded)
-                .with_batching(MAX_BATCH)
-                .with_reference_dispatch();
             black_box(ClusterServingSim::new(options).run(&mut fleet, &trace))
         })
     });

@@ -108,6 +108,18 @@ impl FaultKind {
         }
     }
 
+    /// The registry counter and time series one injection of this kind
+    /// bumps — the one name every recorder uses.
+    pub fn metric_name(&self) -> &'static str {
+        match self {
+            FaultKind::BoardCrash { .. } => "fault.board_crashes",
+            FaultKind::BoardHang { .. } => "fault.board_hangs",
+            FaultKind::LinkDegrade { .. } => "fault.link_degrades",
+            FaultKind::Straggler { .. } => "fault.stragglers",
+            FaultKind::TelemetryDropout { .. } => "fault.telemetry_dropouts",
+        }
+    }
+
     /// A short stable label for metrics and traces.
     pub fn label(&self) -> &'static str {
         match self {
@@ -343,6 +355,19 @@ impl ModelAvailability {
     pub fn attained(&self, target: f64) -> bool {
         self.availability() >= target
     }
+
+    /// Adds another partition's counts for the same model. Exhaustive like
+    /// [`AvailabilityStats::merge`].
+    fn merge(&mut self, other: &ModelAvailability) {
+        let ModelAvailability {
+            admitted,
+            completed,
+            lost,
+        } = *other;
+        self.admitted += admitted;
+        self.completed += completed;
+        self.lost += lost;
+    }
 }
 
 /// What chaos did to the run and what recovery salvaged.
@@ -400,30 +425,48 @@ impl AvailabilityStats {
     /// Counters and totals add, worst-case latencies take the max, and the
     /// per-model entries merge field-wise — the fold is commutative except
     /// for map insertion order, which `BTreeMap` keeps canonical, so a fixed
-    /// partitioning merges to the same stats in any order.
+    /// partitioning merges to the same stats in any order. Exhaustive on
+    /// purpose: a new counter fails to compile here until it is merged.
     pub fn merge(&mut self, other: &AvailabilityStats) {
-        self.crashes += other.crashes;
-        self.hangs += other.hangs;
-        self.link_degrades += other.link_degrades;
-        self.stragglers += other.stragglers;
-        self.dropouts += other.dropouts;
-        self.failovers += other.failovers;
-        self.replicas_failed += other.replicas_failed;
-        self.replicas_restored += other.replicas_restored;
-        self.restore_rejected += other.restore_rejected;
-        self.orphaned += other.orphaned;
-        self.redispatched += other.redispatched;
-        self.expired_in_failover += other.expired_in_failover;
-        self.lost += other.lost;
-        self.detect_cycles_total += other.detect_cycles_total;
-        self.detect_cycles_max = self.detect_cycles_max.max(other.detect_cycles_max);
-        self.restore_cycles_total += other.restore_cycles_total;
-        self.restore_cycles_max = self.restore_cycles_max.max(other.restore_cycles_max);
-        for (model, theirs) in &other.per_model {
-            let ours = self.per_model.entry(*model).or_default();
-            ours.admitted += theirs.admitted;
-            ours.completed += theirs.completed;
-            ours.lost += theirs.lost;
+        let AvailabilityStats {
+            crashes,
+            hangs,
+            link_degrades,
+            stragglers,
+            dropouts,
+            failovers,
+            replicas_failed,
+            replicas_restored,
+            restore_rejected,
+            orphaned,
+            redispatched,
+            expired_in_failover,
+            lost,
+            detect_cycles_total,
+            detect_cycles_max,
+            restore_cycles_total,
+            restore_cycles_max,
+            per_model,
+        } = other;
+        self.crashes += crashes;
+        self.hangs += hangs;
+        self.link_degrades += link_degrades;
+        self.stragglers += stragglers;
+        self.dropouts += dropouts;
+        self.failovers += failovers;
+        self.replicas_failed += replicas_failed;
+        self.replicas_restored += replicas_restored;
+        self.restore_rejected += restore_rejected;
+        self.orphaned += orphaned;
+        self.redispatched += redispatched;
+        self.expired_in_failover += expired_in_failover;
+        self.lost += lost;
+        self.detect_cycles_total += detect_cycles_total;
+        self.detect_cycles_max = self.detect_cycles_max.max(*detect_cycles_max);
+        self.restore_cycles_total += restore_cycles_total;
+        self.restore_cycles_max = self.restore_cycles_max.max(*restore_cycles_max);
+        for (model, theirs) in per_model {
+            self.per_model.entry(*model).or_default().merge(theirs);
         }
     }
 
@@ -643,6 +686,55 @@ impl ChaosState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn merge_adds_counters_and_keeps_the_worst_latencies() {
+        let partition = AvailabilityStats {
+            crashes: 1,
+            hangs: 2,
+            link_degrades: 3,
+            stragglers: 4,
+            dropouts: 5,
+            failovers: 6,
+            replicas_failed: 7,
+            replicas_restored: 8,
+            restore_rejected: 9,
+            orphaned: 10,
+            redispatched: 11,
+            expired_in_failover: 12,
+            lost: 13,
+            detect_cycles_total: 14,
+            detect_cycles_max: 15,
+            restore_cycles_total: 16,
+            restore_cycles_max: 17,
+            per_model: BTreeMap::from([(
+                ModelId::Mnist,
+                ModelAvailability {
+                    admitted: 18,
+                    completed: 19,
+                    lost: 20,
+                },
+            )]),
+        };
+        let mut merged = AvailabilityStats::default();
+        merged.merge(&partition);
+        assert_eq!(
+            merged, partition,
+            "merging into empty stats copies every field"
+        );
+        merged.merge(&partition);
+        assert_eq!((merged.crashes, merged.lost), (2, 26));
+        assert_eq!(merged.detect_cycles_max, 15, "worst cases take the max");
+        assert_eq!(merged.restore_cycles_max, 17);
+        assert_eq!(
+            merged.per_model[&ModelId::Mnist],
+            ModelAvailability {
+                admitted: 36,
+                completed: 38,
+                lost: 40,
+            }
+        );
+    }
 
     #[test]
     fn schedule_generation_is_seeded_and_sorted() {

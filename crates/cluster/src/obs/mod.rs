@@ -84,6 +84,15 @@ impl RejectReason {
             RejectReason::Overload => "overload",
         }
     }
+
+    /// The registry counter and time series a rejection of this kind
+    /// bumps — the one name every recorder uses.
+    pub fn metric_name(self) -> &'static str {
+        match self {
+            RejectReason::NoReplica => "serving.rejected_no_replica",
+            RejectReason::Overload => "serving.rejected_overload",
+        }
+    }
 }
 
 /// Fleet-wide gauges computed at a telemetry tick for the counter tracks.

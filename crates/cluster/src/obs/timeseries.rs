@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use neu10::{LatencySummary, QuantileSketch};
 use workloads::{ModelId, PriorityClass};
 
-use crate::fault::{FaultEvent, FaultKind};
+use crate::fault::FaultEvent;
 use crate::migration::{MigrationMode, MigrationRecord};
 use crate::obs::slo::{AlertKind, AlertTransition};
 use crate::obs::window::{Merge, Ring};
@@ -341,11 +341,7 @@ impl ObsSink for TimeSeriesRecorder {
     }
 
     fn on_reject(&mut self, now: u64, _sequence: u64, model: ModelId, reason: RejectReason) {
-        let name = match reason {
-            RejectReason::NoReplica => "serving.rejected_no_replica",
-            RejectReason::Overload => "serving.rejected_overload",
-        };
-        self.inc(now, name, SeriesLabels::model(model), 1);
+        self.inc(now, reason.metric_name(), SeriesLabels::model(model), 1);
     }
 
     fn on_service_batch(
@@ -493,14 +489,7 @@ impl ObsSink for TimeSeriesRecorder {
     fn on_fault(&mut self, now: u64, fault: &FaultEvent) {
         let labels = SeriesLabels::none().with_node(fault.kind.node());
         self.inc(now, "fault.injected", labels, 1);
-        let name = match fault.kind {
-            FaultKind::BoardCrash { .. } => "fault.board_crashes",
-            FaultKind::BoardHang { .. } => "fault.board_hangs",
-            FaultKind::LinkDegrade { .. } => "fault.link_degrades",
-            FaultKind::Straggler { .. } => "fault.stragglers",
-            FaultKind::TelemetryDropout { .. } => "fault.telemetry_dropouts",
-        };
-        self.inc(now, name, labels, 1);
+        self.inc(now, fault.kind.metric_name(), labels, 1);
     }
 
     fn on_failover(

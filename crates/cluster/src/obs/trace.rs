@@ -2,7 +2,7 @@
 
 use workloads::{ModelId, PriorityClass};
 
-use crate::fault::{FaultEvent, FaultKind};
+use crate::fault::FaultEvent;
 use crate::migration::{MigrationMode, MigrationRecord};
 use crate::obs::{
     AlertKind, AlertTransition, FleetCounters, MetricsRegistry, ObsSink, RejectReason,
@@ -351,10 +351,7 @@ impl ObsSink for TraceRecorder {
     }
 
     fn on_reject(&mut self, now: u64, sequence: u64, model: ModelId, reason: RejectReason) {
-        self.registry.inc(match reason {
-            RejectReason::NoReplica => "serving.rejected_no_replica",
-            RejectReason::Overload => "serving.rejected_overload",
-        });
+        self.registry.inc(reason.metric_name());
         if self.is_sampled(sequence) {
             self.push(TraceEvent::Reject {
                 at: now,
@@ -569,13 +566,7 @@ impl ObsSink for TraceRecorder {
 
     fn on_fault(&mut self, _now: u64, fault: &FaultEvent) {
         self.registry.inc("fault.injected");
-        self.registry.inc(match fault.kind {
-            FaultKind::BoardCrash { .. } => "fault.board_crashes",
-            FaultKind::BoardHang { .. } => "fault.board_hangs",
-            FaultKind::LinkDegrade { .. } => "fault.link_degrades",
-            FaultKind::Straggler { .. } => "fault.stragglers",
-            FaultKind::TelemetryDropout { .. } => "fault.telemetry_dropouts",
-        });
+        self.registry.inc(fault.kind.metric_name());
     }
 
     fn on_failover(

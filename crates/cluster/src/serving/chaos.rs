@@ -171,6 +171,8 @@ impl PartitionSim<'_> {
                         .into_iter()
                         .map(|request| (slot, request)),
                 );
+                // The emptied slot leaves the dispatch index under the load
+                // it is filed at: no walk can visit it in between.
                 self.release_replica(cluster, slot, now);
                 failed_here += 1;
                 chaos.stats.replicas_failed += 1;
@@ -226,12 +228,13 @@ impl PartitionSim<'_> {
                     self.state.expire(now, &request, node, dead_slot, sink);
                     continue;
                 }
-                self.collect_views(request.model, now);
-                match self.router.redispatch(request.model, &self.views) {
+                // Each orphan's enqueue re-files its survivor at once, so
+                // the next orphan's walk sees this one's load.
+                match self.route(request.model, now, true) {
                     DispatchDecision::Dispatch(slot) => {
                         redispatched_here += 1;
                         chaos.stats.redispatched += 1;
-                        self.replicas[slot].enqueue(request);
+                        self.enqueue(slot, request);
                         touched.insert(slot);
                     }
                     DispatchDecision::RejectNoReplica | DispatchDecision::RejectOverload => {

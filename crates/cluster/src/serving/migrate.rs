@@ -308,7 +308,6 @@ impl PartitionSim<'_> {
         // board-to-board link (on an idle link the window is unchanged).
         let cycles = self.state.link_cycles(record.from, record.to, now, cycles);
         record.transfer_cycles = self.links.reserve(record.from, record.to, now, cycles) - now;
-        let old_handle = replica.handle;
         replica.handle = VnpuHandle {
             node: record.to,
             vnpu: record.dest_vnpu,
@@ -316,13 +315,7 @@ impl PartitionSim<'_> {
         replica.available_at = now + record.transfer_cycles + record.remap_cycles;
         // A draining replica (scale-down raced with the migration) already
         // left the routable sets; only its handle re-keys.
-        self.dispatch_index.relocate(
-            old_handle,
-            replica.handle,
-            index,
-            replica.model,
-            !replica.draining,
-        );
+        self.dispatch_index.relocate(index, replica.handle);
         sink.on_stop_copy(now, replica.available_at, index, &record);
         self.events.push(replica.available_at, EV_RESUME, index);
         self.migration_records.push(record);
@@ -358,6 +351,7 @@ impl PartitionSim<'_> {
         // destination-side state the source partition cannot see.
         let replica = &mut self.replicas[index];
         replica.precopy = None;
+        // The emptied slot leaves the dispatch index on release, below.
         let queue = replica.queue.take_all();
         let cost_model = &self.options.cost_model;
         let cycles = self.state.link_cycles(
@@ -430,10 +424,9 @@ impl PartitionSim<'_> {
         };
         let slot = self.add_replica(cluster, handle, barrier);
         let resume_at = envelope.ready_at.max(barrier);
-        let replica = &mut self.replicas[slot];
-        replica.available_at = resume_at;
+        self.replicas[slot].available_at = resume_at;
         for request in envelope.queue {
-            replica.enqueue(request);
+            self.enqueue(slot, request);
         }
         self.events.push(resume_at, EV_RESUME, slot);
         if !envelope.bounced {

@@ -90,13 +90,6 @@ pub struct ServingOptions {
     /// Telemetry sampling interval in cycles; `None` disables the telemetry
     /// bus (and with it any control plane).
     pub telemetry_interval: Option<u64>,
-    /// Use the pre-index reference dispatch path: rebuild the candidate
-    /// [`ReplicaView`](crate::router::ReplicaView)s from the full replica table on every arrival
-    /// (O(replicas²) per arrival) instead of reading the incremental
-    /// [`ReplicaIndex`](crate::router::ReplicaIndex). The two paths produce identical reports; this knob
-    /// exists so equivalence tests and the perf harness can measure the
-    /// indexed path against the loop it replaced.
-    pub reference_dispatch: bool,
     /// SLO specs and burn-rate policies evaluated inside the event loop;
     /// `None` (the default) schedules no alert ticks and leaves the report's
     /// [`AlertLog`] empty.
@@ -131,7 +124,6 @@ impl ServingOptions {
             drop_expired: false,
             stochastic: None,
             telemetry_interval: None,
-            reference_dispatch: false,
             slo: None,
             faults: None,
             recovery: None,
@@ -205,14 +197,6 @@ impl ServingOptions {
     /// the autopilot control plane).
     pub fn with_telemetry(mut self, interval: u64) -> Self {
         self.telemetry_interval = Some(interval.max(1));
-        self
-    }
-
-    /// Switches to the pre-index reference dispatch path (per-arrival
-    /// candidate rebuild). For equivalence tests and benchmarks only — it is
-    /// quadratic in the replica count per arrival.
-    pub fn with_reference_dispatch(mut self) -> Self {
-        self.reference_dispatch = true;
         self
     }
 

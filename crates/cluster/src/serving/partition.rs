@@ -16,7 +16,7 @@ use crate::fault::ChaosState;
 use crate::migration::MigrationRecord;
 use crate::obs::window::Merge;
 use crate::obs::{AlertLog, AlertTransition, FleetCounters, ObsSink, RejectReason, SloEngine};
-use crate::router::{DispatchDecision, ReplicaIndex, ReplicaView, Router};
+use crate::router::{CandidateState, DispatchDecision, ReplicaIndex, Router};
 use crate::sharded::ShardPlan;
 use crate::telemetry::{
     ControlAction, ControlPlane, ControlStats, ModelSample, ReplicaSample, TelemetryFrame,
@@ -94,15 +94,15 @@ impl ReplicaSim {
             .map_or(0, |(batch, _, _)| batch.len())
     }
 
+    /// Queued plus in-flight requests: the load the dispatch index files a
+    /// routable replica under.
+    pub(super) fn outstanding(&self) -> usize {
+        self.queue.len() + self.in_flight()
+    }
+
     /// Whether the replica participates in routing and telemetry.
     pub(super) fn live(&self) -> bool {
         !self.retired
-    }
-
-    /// Inserts an admitted request, FIFO or EDF-ordered (the queue variant
-    /// was fixed at replica construction).
-    pub(super) fn enqueue(&mut self, request: QueuedRequest) {
-        self.queue.push(request);
     }
 
     /// Fences the replica: its board is (or is presumed) dead, so nothing
@@ -115,24 +115,15 @@ impl ReplicaSim {
         self.batch_timeout_at = None;
     }
 
-    /// The router's snapshot of this replica, sitting at `slot`, at `now`.
-    /// With `avoid_migrating`, a live pre-copy in flight reads as
-    /// unavailable, so the router steers around its imminent stop-and-copy
-    /// while any clean replica exists.
-    fn view(
-        &self,
-        slot: usize,
-        now: u64,
-        avoid_migrating: bool,
-        node_replicas: usize,
-    ) -> ReplicaView {
-        ReplicaView {
-            index: slot,
-            node: self.handle.node,
+    /// What the router probes of this replica at `now`. With
+    /// `avoid_migrating`, a live pre-copy in flight reads as unavailable, so
+    /// the router steers around its imminent stop-and-copy while any clean
+    /// replica exists.
+    fn candidate(&self, now: u64, avoid_migrating: bool) -> CandidateState {
+        CandidateState {
             queue_len: self.queue.len(),
             in_flight: self.in_flight(),
-            unavailable: self.unavailable(now) || (avoid_migrating && self.precopy.is_some()),
-            node_replicas,
+            available: !(self.unavailable(now) || (avoid_migrating && self.precopy.is_some())),
         }
     }
 }
@@ -357,9 +348,6 @@ pub(crate) struct PartitionSim<'a> {
     per_model: BTreeMap<ModelId, QuantileSketch>,
     per_node_completed: BTreeMap<NodeId, usize>,
     pub(super) migration_records: Vec<MigrationRecord>,
-    /// Candidate-view scratch, refilled per dispatch; after warm-up the
-    /// dispatch path performs no allocation at all.
-    pub(super) views: Vec<ReplicaView>,
     /// `Some` only under the sharded runner; `None` keeps every shard-aware
     /// branch dead on the sequential path.
     pub(super) shard: Option<ShardContext>,
@@ -440,10 +428,10 @@ impl<'a> PartitionSim<'a> {
             cache: CalibrationCache::default(),
             replicas: Vec::new(),
             // The dispatch index mirrors the replica table incrementally:
-            // slots enter on deploy, leave the routable sets on drain, re-key
-            // on migration and die on release. Every arrival then reads
-            // exactly the candidates of its model instead of scanning (and
-            // re-counting) the whole table.
+            // slots enter on deploy, re-file at every load edge, leave the
+            // routable sets on drain, re-key on migration and die on
+            // release. Every arrival then walks only the candidates of its
+            // model, least loaded first, instead of scanning the table.
             dispatch_index: ReplicaIndex::new(),
             state,
             events,
@@ -468,7 +456,6 @@ impl<'a> PartitionSim<'a> {
             per_model: BTreeMap::new(),
             per_node_completed: BTreeMap::new(),
             migration_records: Vec::new(),
-            views: Vec::new(),
             shard,
         };
         for deployment in cluster.deployments() {
@@ -561,8 +548,7 @@ impl<'a> PartitionSim<'a> {
         self.perf.arrivals += 1;
         let now = arrival.at.get();
         sink.on_arrival(now, arrival.sequence, arrival.model);
-        self.collect_views(arrival.model, now);
-        match self.router.dispatch(arrival.model, &self.views) {
+        match self.route(arrival.model, now, false) {
             DispatchDecision::Dispatch(index) => {
                 if let Some(window) = self.state.window_of(arrival.model) {
                     window.arrivals += 1;
@@ -570,21 +556,23 @@ impl<'a> PartitionSim<'a> {
                 if let Some(chaos) = &mut self.state.chaos {
                     chaos.note_admitted(arrival.model);
                 }
-                let replica = &mut self.replicas[index];
                 sink.on_dispatch(
                     now,
                     arrival.sequence,
                     arrival.model,
-                    replica.handle.node,
+                    self.replicas[index].handle.node,
                     index,
                 );
-                replica.enqueue(QueuedRequest {
-                    model: arrival.model,
-                    arrived: now,
-                    deadline: arrival.deadline.map(|d| d.get()),
-                    priority: arrival.priority,
-                    sequence: arrival.sequence,
-                });
+                self.enqueue(
+                    index,
+                    QueuedRequest {
+                        model: arrival.model,
+                        arrived: now,
+                        deadline: arrival.deadline.map(|d| d.get()),
+                        priority: arrival.priority,
+                        sequence: arrival.sequence,
+                    },
+                );
                 self.start_next(index, now, sink);
             }
             decision @ (DispatchDecision::RejectNoReplica | DispatchDecision::RejectOverload) => {
@@ -601,38 +589,27 @@ impl<'a> PartitionSim<'a> {
         }
     }
 
-    /// Refills the candidate-view scratch with the dispatch candidates of
-    /// `model` at `now`, for arrival dispatch and failover re-dispatch alike.
-    pub(super) fn collect_views(&mut self, model: ModelId, now: u64) {
+    /// Picks the replica for one request of `model` at `now` — a trace
+    /// arrival, or with `orphan` an already admitted request failover moves
+    /// off a dead board (selected alike, but not counted again).
+    pub(super) fn route(&mut self, model: ModelId, now: u64, orphan: bool) -> DispatchDecision {
+        let replicas = &self.replicas;
         let avoid_migrating = self.options.migration_aware_dispatch;
-        self.views.clear();
-        if self.options.reference_dispatch {
-            // The pre-index reference path: scan the whole table and recount
-            // the locality signal per candidate.
-            let routable = |r: &ReplicaSim| r.live() && !r.draining && r.model == model;
-            let replicas = &self.replicas;
-            self.views.extend(
-                replicas
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| routable(r))
-                    .map(|(slot, r)| {
-                        let node_replicas = replicas
-                            .iter()
-                            .filter(|o| routable(o) && o.handle.node == r.handle.node)
-                            .count();
-                        r.view(slot, now, avoid_migrating, node_replicas)
-                    }),
-            );
+        let probe = |slot: usize| replicas[slot].candidate(now, avoid_migrating);
+        if orphan {
+            self.router.redispatch(model, &self.dispatch_index, probe)
         } else {
-            // Indexed path: O(candidates of this model), no recount.
-            for &slot in self.dispatch_index.candidates(model) {
-                let replica = &self.replicas[slot];
-                let node_replicas = self.dispatch_index.node_count(model, replica.handle.node);
-                self.views
-                    .push(replica.view(slot, now, avoid_migrating, node_replicas));
-            }
+            self.router.dispatch(model, &self.dispatch_index, probe)
         }
+    }
+
+    /// Queues an admitted request on replica `slot`, FIFO or EDF-ordered
+    /// (the queue variant was fixed at replica construction), and re-files
+    /// the slot under its new load in the same step.
+    pub(super) fn enqueue(&mut self, slot: usize, request: QueuedRequest) {
+        let replica = &mut self.replicas[slot];
+        replica.queue.push(request);
+        self.dispatch_index.set_load(slot, replica.outstanding());
     }
 
     /// Finishes the batch in service on replica `index`, then moves the
@@ -658,6 +635,7 @@ impl<'a> PartitionSim<'a> {
             .take()
             .expect("completion without service"); // simlint::allow(P1, reason = "EV_COMPLETION is only scheduled while a batch is in service")
         debug_assert_eq!(finish, now);
+        self.dispatch_index.set_load(index, replica.outstanding());
         replica.window_busy += finish - started.max(self.state.window_start);
         for request in &batch {
             let latency = now.saturating_sub(request.arrived);
@@ -750,6 +728,7 @@ impl<'a> PartitionSim<'a> {
                 }
                 _ => true,
             });
+            self.dispatch_index.set_load(index, replica.outstanding());
         }
         if replica.queue.is_empty() {
             return;
@@ -823,8 +802,7 @@ impl<'a> PartitionSim<'a> {
             .cache
             .replica_sim(&self.options, cluster, deployment, now);
         let slot = self.replicas.len();
-        self.dispatch_index
-            .insert(slot, replica.model, handle.node, handle);
+        self.dispatch_index.insert(slot, replica.model, handle);
         self.replicas.push(replica);
         self.state.live_replicas += 1;
         self.state.peak_replicas = self.state.peak_replicas.max(self.state.live_replicas);
@@ -832,12 +810,12 @@ impl<'a> PartitionSim<'a> {
     }
 
     /// Releases replica `slot` for good: its vNPU returns to the cluster, it
-    /// leaves the dispatch index, and its provisioned time is banked.
+    /// leaves the dispatch index (under the load it is filed at, so callers
+    /// may empty its queue first), and its provisioned time is banked.
     pub(super) fn release_replica(&mut self, cluster: &mut NpuCluster, slot: usize, now: u64) {
         let replica = &mut self.replicas[slot];
         let handle = replica.handle;
-        self.dispatch_index
-            .evict(slot, replica.model, handle.node, handle, !replica.draining);
+        self.dispatch_index.evict(slot);
         replica.retired = true;
         replica.batch_timeout_at = None;
         replica.pending_migration = None;
@@ -957,12 +935,16 @@ impl<'a> PartitionSim<'a> {
         // every one lost with a fault attribution. Nothing is silent.
         if let Some(chaos) = &mut self.state.chaos {
             let mut marooned: Vec<QueuedRequest> = Vec::new();
-            for replica in self.replicas.iter_mut().filter(|r| r.fenced && !r.retired) {
+            for (slot, replica) in self.replicas.iter_mut().enumerate() {
+                if !replica.fenced || replica.retired {
+                    continue;
+                }
                 if let Some((batch, _, _)) = replica.in_service.take() {
                     marooned.extend(batch.iter().copied());
                 }
                 let queued = replica.queue.len();
                 replica.queue.drain_into(queued, &mut marooned);
+                self.dispatch_index.set_load(slot, 0);
                 for request in marooned.drain(..) {
                     chaos.note_lost(request.model);
                     sink.on_lost(
@@ -1105,8 +1087,7 @@ impl<'a> PartitionSim<'a> {
                 // work. The orphaned copy-round event is ignored by its
                 // staleness guard.
                 replica.precopy = None;
-                self.dispatch_index
-                    .begin_drain(index, replica.model, handle.node);
+                self.dispatch_index.begin_drain(index);
                 self.state.control.scale_downs += 1;
                 // A held partial batch flushes immediately: a draining
                 // replica never waits for a batch that cannot form.

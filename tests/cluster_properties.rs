@@ -147,28 +147,45 @@ proptest! {
 }
 
 /// The shadow model of one replica slot for the dispatch-index property: the
-/// same lifecycle facts the serving simulator tracks, checked against a
-/// brute-force recount after every transition.
+/// same lifecycle and load facts the serving simulator tracks, checked
+/// against a brute-force recount after every transition.
 #[derive(Debug, Clone, Copy)]
 struct ShadowReplica {
     model: ModelId,
-    node: NodeId,
     handle: cluster::VnpuHandle,
     draining: bool,
     retired: bool,
+    queue_len: usize,
+    in_flight: usize,
+    available: bool,
 }
+
+impl ShadowReplica {
+    fn routable(&self) -> bool {
+        !self.retired && !self.draining
+    }
+
+    fn state(&self) -> cluster::CandidateState {
+        cluster::CandidateState {
+            queue_len: self.queue_len,
+            in_flight: self.in_flight,
+            available: self.available,
+        }
+    }
+}
+
+const INDEX_MODELS: [ModelId; 4] = [ModelId::Mnist, ModelId::Ncf, ModelId::Bert, ModelId::Dlrm];
 
 /// Rebuilds what the incremental index must contain from first principles.
 fn assert_index_matches(
     index: &cluster::ReplicaIndex,
     shadow: &[ShadowReplica],
 ) -> Result<(), String> {
-    let models = [ModelId::Mnist, ModelId::Ncf, ModelId::Bert, ModelId::Dlrm];
-    for model in models {
+    for model in INDEX_MODELS {
         let expected: Vec<usize> = shadow
             .iter()
             .enumerate()
-            .filter(|(_, s)| !s.retired && !s.draining && s.model == model)
+            .filter(|(_, s)| s.routable() && s.model == model)
             .map(|(slot, _)| slot)
             .collect();
         prop_assert_eq!(
@@ -177,11 +194,22 @@ fn assert_index_matches(
             "candidate slots of {:?} drifted from the brute-force rebuild",
             model
         );
+        let mut by_load: Vec<(usize, usize)> = expected
+            .iter()
+            .map(|&slot| (shadow[slot].state().outstanding(), slot))
+            .collect();
+        by_load.sort();
+        prop_assert_eq!(
+            index.by_load(model),
+            by_load.as_slice(),
+            "load order of {:?} drifted from the brute-force sort",
+            model
+        );
         for node in 0..8u32 {
             let node = NodeId(node);
             let expected = shadow
                 .iter()
-                .filter(|s| !s.retired && !s.draining && s.model == model && s.node == node)
+                .filter(|s| s.routable() && s.model == model && s.handle.node == node)
                 .count();
             prop_assert_eq!(
                 index.node_count(model, node),
@@ -192,7 +220,7 @@ fn assert_index_matches(
             );
         }
     }
-    for replica in shadow {
+    for (slot, replica) in shadow.iter().enumerate() {
         let expected = if replica.retired {
             None
         } else {
@@ -206,102 +234,159 @@ fn assert_index_matches(
             "handle {} resolved to the wrong slot",
             replica.handle
         );
+        let filed = replica.routable().then(|| replica.state().outstanding());
+        prop_assert_eq!(index.load_of(slot), filed, "slot {} load key drifted", slot);
     }
     Ok(())
 }
 
+/// The dispatch decision from first principles: snapshot every routable
+/// candidate of `model`, restrict to the available ones while any exists,
+/// drop full queues, then pick by the policy's `min_by_key` (or the
+/// round-robin cursor scan). This is the per-arrival scan the index walk
+/// replaced.
+fn brute_force_decision(
+    policy: DispatchPolicy,
+    model: ModelId,
+    shadow: &[ShadowReplica],
+    max_queue_depth: usize,
+    rr_cursor: &mut std::collections::BTreeMap<ModelId, usize>,
+) -> cluster::router::DispatchDecision {
+    use cluster::router::DispatchDecision;
+    let candidates: Vec<usize> = shadow
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.routable() && s.model == model)
+        .map(|(slot, _)| slot)
+        .collect();
+    if candidates.is_empty() {
+        return DispatchDecision::RejectNoReplica;
+    }
+    let any_available = candidates.iter().any(|&slot| shadow[slot].available);
+    let eligible = |slot: usize| {
+        let s = shadow[slot];
+        s.queue_len < max_queue_depth && (!any_available || s.available)
+    };
+    let outstanding = |slot: usize| shadow[slot].state().outstanding();
+    let pick = match policy {
+        DispatchPolicy::RoundRobin => {
+            let cursor = rr_cursor.entry(model).or_insert(0);
+            let start = *cursor % candidates.len();
+            let position = (0..candidates.len())
+                .map(|offset| (start + offset) % candidates.len())
+                .find(|&position| eligible(candidates[position]));
+            position.map(|position| {
+                *cursor = (position + 1) % candidates.len();
+                candidates[position]
+            })
+        }
+        DispatchPolicy::LeastLoaded | DispatchPolicy::EarliestDeadline => candidates
+            .iter()
+            .copied()
+            .filter(|&slot| eligible(slot))
+            .min_by_key(|&slot| (outstanding(slot), slot)),
+        DispatchPolicy::LocalityAffine => candidates
+            .iter()
+            .copied()
+            .filter(|&slot| eligible(slot))
+            .min_by_key(|&slot| {
+                let node = shadow[slot].handle.node;
+                let dense = candidates
+                    .iter()
+                    .filter(|&&other| shadow[other].handle.node == node)
+                    .count();
+                (std::cmp::Reverse(dense), outstanding(slot), slot)
+            }),
+    };
+    match pick {
+        Some(slot) => DispatchDecision::Dispatch(slot),
+        None => DispatchDecision::RejectOverload,
+    }
+}
+
 proptest! {
     /// The incremental dispatch index stays identical to a brute-force
-    /// rebuild of the routable sets, the locality counts and the handle map
+    /// rebuild — routable sets, load order, locality counts, handle map —
     /// after any random sequence of scale-up / drain / retire / migrate /
-    /// crash-evict transitions — the exact lifecycle edges the serving event
-    /// loop and the failover path drive.
+    /// crash-evict transitions, load changes, availability flips and
+    /// dispatches (the edges the serving event loop and the failover path
+    /// drive), and after every step each of the four policies routes every
+    /// model exactly as a brute-force scan of the shadow table does, the
+    /// all-dark fallback and overload rejection included.
     #[test]
     fn dispatch_index_matches_brute_force_rebuild(
         ops in proptest::collection::vec(
-            (0usize..=4, 0usize..=255, 0usize..=255),
-            1..120,
+            (0usize..=7, 0usize..=255, 0usize..=255),
+            1..160,
         ),
+        max_queue_depth in 1usize..=4,
     ) {
-        let models = [ModelId::Mnist, ModelId::Ncf, ModelId::Bert, ModelId::Dlrm];
+        use cluster::router::{DispatchDecision, Router};
+
         let mut index = cluster::ReplicaIndex::new();
         let mut shadow: Vec<ShadowReplica> = Vec::new();
         let mut next_vnpu = 0u32;
+        let admission = AdmissionControl { max_queue_depth };
+        let mut routers: Vec<Router> = DispatchPolicy::all()
+            .into_iter()
+            .map(|policy| Router::new(policy, admission))
+            .collect();
+        let mut cursors = vec![std::collections::BTreeMap::new(); routers.len()];
 
         for (op, a, b) in ops {
-            match op {
-                // Scale-up: a new routable replica in the next slot.
-                0 => {
+            // Every op but scale-up acts on an existing slot.
+            let slot = if shadow.is_empty() { None } else { Some(a % shadow.len()) };
+            match (op, slot) {
+                // Scale-up: a new routable, idle replica in the next slot.
+                (0, _) => {
                     let replica = ShadowReplica {
-                        model: models[a % models.len()],
-                        node: NodeId((b % 8) as u32),
+                        model: INDEX_MODELS[a % INDEX_MODELS.len()],
                         handle: cluster::VnpuHandle {
                             node: NodeId((b % 8) as u32),
                             vnpu: neu10::VnpuId(next_vnpu),
                         },
                         draining: false,
                         retired: false,
+                        queue_len: 0,
+                        in_flight: 0,
+                        available: true,
                     };
                     next_vnpu += 1;
-                    index.insert(shadow.len(), replica.model, replica.node, replica.handle);
+                    index.insert(shadow.len(), replica.model, replica.handle);
                     shadow.push(replica);
                 }
+                (_, None) => continue,
                 // Scale-down: drain a routable replica.
-                1 => {
-                    if shadow.is_empty() {
-                        continue;
-                    }
-                    let slot = a % shadow.len();
-                    let replica = shadow[slot];
-                    if replica.retired || replica.draining {
+                (1, Some(slot)) => {
+                    if !shadow[slot].routable() {
                         continue;
                     }
                     shadow[slot].draining = true;
-                    index.begin_drain(slot, replica.model, replica.node);
+                    index.begin_drain(slot);
                 }
                 // Release: retire a fully drained replica.
-                2 => {
-                    if shadow.is_empty() {
-                        continue;
-                    }
-                    let slot = a % shadow.len();
-                    let replica = shadow[slot];
-                    if replica.retired || !replica.draining {
+                (2, Some(slot)) => {
+                    if shadow[slot].retired || !shadow[slot].draining {
                         continue;
                     }
                     shadow[slot].retired = true;
-                    index.retire(replica.handle);
+                    index.retire(slot);
                 }
                 // Crash-evict: a board died — the slot leaves the routable
-                // sets and the handle map in one step, mid-run, no rebuild.
-                3 => {
-                    if shadow.is_empty() {
+                // sets and the handle map in one step, mid-run, no rebuild,
+                // whatever its queue holds.
+                (3, Some(slot)) => {
+                    if shadow[slot].retired {
                         continue;
                     }
-                    let slot = a % shadow.len();
-                    let replica = shadow[slot];
-                    if replica.retired {
-                        continue;
-                    }
-                    index.evict(
-                        slot,
-                        replica.model,
-                        replica.node,
-                        replica.handle,
-                        !replica.draining,
-                    );
+                    index.evict(slot);
                     shadow[slot].draining = true;
                     shadow[slot].retired = true;
                 }
                 // Migration: re-key the handle, move the locality count.
-                _ => {
-                    if shadow.is_empty() {
-                        continue;
-                    }
-                    let slot = a % shadow.len();
-                    let replica = shadow[slot];
+                (4, Some(slot)) => {
                     let to = NodeId((b % 8) as u32);
-                    if replica.retired || to == replica.node {
+                    if shadow[slot].retired || to == shadow[slot].handle.node {
                         continue;
                     }
                     let new_handle = cluster::VnpuHandle {
@@ -309,18 +394,65 @@ proptest! {
                         vnpu: neu10::VnpuId(next_vnpu),
                     };
                     next_vnpu += 1;
-                    index.relocate(
-                        replica.handle,
-                        new_handle,
-                        slot,
-                        replica.model,
-                        !replica.draining,
-                    );
-                    shadow[slot].node = to;
+                    index.relocate(slot, new_handle);
                     shadow[slot].handle = new_handle;
+                }
+                // Load change: a completion, batch start or expiry left the
+                // slot with a new queue and in-flight batch — full queues
+                // included. Draining slots change load too; the index
+                // ignores them.
+                (5, Some(slot)) => {
+                    if shadow[slot].retired {
+                        continue;
+                    }
+                    shadow[slot].queue_len = b % (max_queue_depth + 2);
+                    shadow[slot].in_flight = (b / 7) % 5;
+                    index.set_load(slot, shadow[slot].state().outstanding());
+                }
+                // Availability flip: a migration window opens or closes.
+                (6, Some(slot)) => {
+                    shadow[slot].available = !shadow[slot].available;
+                }
+                // Dispatch: route one arrival of a model with the least-
+                // loaded router and enqueue it, re-keying at the enqueue.
+                (_, Some(_)) => {
+                    let model = INDEX_MODELS[b % INDEX_MODELS.len()];
+                    let decision = routers[1].dispatch(model, &index, |slot| shadow[slot].state());
+                    let expected = brute_force_decision(
+                        DispatchPolicy::LeastLoaded,
+                        model,
+                        &shadow,
+                        max_queue_depth,
+                        &mut cursors[1],
+                    );
+                    prop_assert_eq!(decision, expected, "arrival dispatch of {:?}", model);
+                    if let DispatchDecision::Dispatch(slot) = decision {
+                        shadow[slot].queue_len += 1;
+                        index.set_load(slot, shadow[slot].state().outstanding());
+                    }
                 }
             }
             assert_index_matches(&index, &shadow)?;
+            for (which, router) in routers.iter_mut().enumerate() {
+                let policy = router.policy();
+                for model in INDEX_MODELS {
+                    let decision = router.redispatch(model, &index, |slot| shadow[slot].state());
+                    let expected = brute_force_decision(
+                        policy,
+                        model,
+                        &shadow,
+                        max_queue_depth,
+                        &mut cursors[which],
+                    );
+                    prop_assert_eq!(
+                        decision,
+                        expected,
+                        "{} routed {:?} differently from the brute-force scan",
+                        policy.label(),
+                        model
+                    );
+                }
+            }
         }
     }
 
@@ -462,43 +594,5 @@ proptest! {
         prop_assert_eq!(attributed, report.availability.lost);
         // Determinism: the identical schedule replays bit-for-bit.
         prop_assert_eq!(report, run());
-    }
-
-    /// Indexed dispatch and the reference per-arrival rebuild produce the
-    /// identical `ServingReport` whatever the policy, batching, admission
-    /// limits and load — the end-to-end form of the index property.
-    #[test]
-    fn indexed_and_reference_dispatch_reports_agree(
-        replicas in 1usize..=4,
-        per_model in 1usize..=30,
-        mean_gap in 1_000u64..=200_000,
-        max_queue_depth in 1usize..=8,
-        max_batch in 1usize..=8,
-        policy_index in 0usize..=3,
-        seed in 0u64..=1_000,
-    ) {
-        let board = NpuConfig::single_core();
-        let trace = ClusterTrace::poisson(
-            &[(ModelId::Mnist, mean_gap), (ModelId::Ncf, mean_gap)],
-            per_model,
-            seed,
-        );
-        let run = |reference: bool| {
-            let mut fleet = NpuCluster::homogeneous(replicas, &board);
-            for index in 0..replicas {
-                let model = if index % 2 == 0 { ModelId::Mnist } else { ModelId::Ncf };
-                fleet
-                    .deploy(DeploySpec::replica(model, 2, 2), PlacementPolicy::WorstFit)
-                    .unwrap();
-            }
-            let mut options = ServingOptions::new(DispatchPolicy::all()[policy_index])
-                .with_admission(AdmissionControl { max_queue_depth })
-                .with_batching(max_batch);
-            if reference {
-                options = options.with_reference_dispatch();
-            }
-            ClusterServingSim::new(options).run(&mut fleet, &trace)
-        };
-        prop_assert_eq!(run(false), run(true));
     }
 }

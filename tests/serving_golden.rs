@@ -1,9 +1,10 @@
 //! Golden determinism tests for the serving hot path.
 //!
 //! These digests were locked against the pre-optimization event loop (the
-//! per-arrival `Vec<ReplicaView>` rebuild with its nested `node_replicas`
-//! recount). The indexed dispatch path, the memoized compilation cache and
-//! the allocation-free inner loops must reproduce every report *bit for bit*:
+//! per-arrival rebuild of every candidate's snapshot with its nested
+//! locality recount). The load-ordered dispatch index, the memoized
+//! compilation cache and the allocation-free inner loops must reproduce
+//! every report *bit for bit*:
 //! any drift in dispatch order, batch formation, stochastic draws or control
 //! actions changes a digest and fails the suite.
 //!
@@ -210,7 +211,7 @@ fn mixed_trace() -> ClusterTrace {
 
 /// The policy scenario: batching with a formation window, drop-on-expiry,
 /// tight admission, seeded stochastic service and one scheduled migration.
-fn run_policy_with(policy: DispatchPolicy, reference_dispatch: bool) -> ServingReport {
+fn run_policy(policy: DispatchPolicy) -> ServingReport {
     let service = estimated_service_cycles(ModelId::Mnist, 2, 2, &config());
     let mut fleet = mixed_fleet();
     let handle = *fleet.deployments().next().expect("fleet has deployments");
@@ -218,7 +219,7 @@ fn run_policy_with(policy: DispatchPolicy, reference_dispatch: bool) -> ServingR
         .map(cluster::NodeId)
         .find(|node| fleet.node(*node).map(|n| n.manager().vnpu_count()) == Some(0))
         .unwrap_or(cluster::NodeId(BOARDS as u32 - 1));
-    let mut options = ServingOptions::new(policy)
+    let options = ServingOptions::new(policy)
         .with_admission(AdmissionControl {
             max_queue_depth: 12,
         })
@@ -227,19 +228,12 @@ fn run_policy_with(policy: DispatchPolicy, reference_dispatch: bool) -> ServingR
         .with_drop_expired()
         .with_stochastic(StochasticService::seeded(SEED).with_cv(0.25))
         .with_migration(Cycles(service * 3), handle.handle, spare);
-    if reference_dispatch {
-        options = options.with_reference_dispatch();
-    }
     ClusterServingSim::new(options).run(&mut fleet, &mixed_trace())
-}
-
-fn run_policy(policy: DispatchPolicy) -> ServingReport {
-    run_policy_with(policy, false)
 }
 
 /// The fig30-style closed-loop scenario: a diurnal day served by the
 /// target-tracking autoscaler growing and shrinking the fleet.
-fn run_autopilot_with(reference_dispatch: bool) -> ServingReport {
+fn run_autopilot() -> ServingReport {
     let npu = config();
     let service = estimated_service_cycles(ModelId::Mnist, 2, 2, &npu);
     let effective = estimated_batch_service_cycles(ModelId::Mnist, 4, 2, 2, &npu) as f64 / 4.0;
@@ -268,17 +262,10 @@ fn run_autopilot_with(reference_dispatch: bool) -> ServingReport {
             TargetTracking::new(4.0, interval * 2).with_max_miss_rate(0.025),
         ),
     ));
-    let mut options = ServingOptions::new(DispatchPolicy::LeastLoaded)
+    let options = ServingOptions::new(DispatchPolicy::LeastLoaded)
         .with_batching(4)
         .with_telemetry(interval);
-    if reference_dispatch {
-        options = options.with_reference_dispatch();
-    }
     ClusterServingSim::new(options).run_with_controller(&mut fleet, &trace, &mut pilot)
-}
-
-fn run_autopilot() -> ServingReport {
-    run_autopilot_with(false)
 }
 
 /// The live-migration scenario: the policy scenario's fleet and trace, but
@@ -616,29 +603,6 @@ fn autopilot_scenario_is_seed_reproducible() {
     assert_eq!(
         first, second,
         "the same seed must reproduce the identical autopilot report"
-    );
-}
-
-/// The indexed dispatch path must be decision-for-decision identical to the
-/// per-arrival candidate rebuild it replaced — full `ServingReport` equality
-/// (perf counters included) on every policy and on the closed-loop scenario.
-#[test]
-fn indexed_dispatch_matches_the_reference_rebuild() {
-    for policy in DispatchPolicy::all() {
-        let indexed = run_policy_with(policy, false);
-        let reference = run_policy_with(policy, true);
-        assert_eq!(
-            indexed,
-            reference,
-            "{}: indexed and reference dispatch must produce identical reports",
-            policy.label()
-        );
-    }
-    let indexed = run_autopilot_with(false);
-    let reference = run_autopilot_with(true);
-    assert_eq!(
-        indexed, reference,
-        "autopilot: indexed and reference dispatch must produce identical reports"
     );
 }
 
